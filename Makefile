@@ -1,6 +1,7 @@
 # CI-style entry points.  `make check` is the gate a PR must pass: the
 # tier-1 suite, the engine parity/throughput suite, the DSE search suite +
-# benchmark, the DSE CLI smoke, and the provenance regression gate
+# benchmark, the DSE CLI smoke, the repo benchmark's own smoke tests
+# (perfbench-smoke), and the provenance regression gate
 # (verify-results), which replays the deterministic golden workload and
 # compares the freshly merged results/BENCH_engine.json against the
 # checked-in baselines under results/golden/.  The perf-tracking benches
@@ -15,11 +16,11 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -W error::pytest.PytestUnknownMarkWarning
 
-.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke verify-results bench-refresh
+.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke perfbench-smoke verify-results bench-refresh
 
 # verify-results runs LAST so it judges the bench ledger the engine/dse/
 # serve targets just rewrote, not a stale one.
-check: tier1 engine dse runtime-smoke dse-smoke serve-smoke gateway-smoke verify-results
+check: tier1 engine dse runtime-smoke dse-smoke serve-smoke gateway-smoke perfbench-smoke verify-results
 
 tier1:
 	$(PYTEST) -x -q
@@ -77,6 +78,14 @@ serve-smoke:
 gateway-smoke:
 	$(PYTEST) -q -m fleet tests
 	PYTHONPATH=src $(PYTHON) scripts/gateway_smoke.py
+
+# The repo benchmark's own tests (perfbench/smoke.py): every workload at
+# its tiny smoke size, untraced and traced, on the recorded and an unseen
+# seed, plus the must-fail checks (about a minute once the benchmark's
+# models are trained; the first run trains them, see perfbench/README.md).
+# Run with python3, the interpreter BENCHMARK.json names.
+perfbench-smoke:
+	python3 perfbench/smoke.py
 
 # Provenance regression gate: replay the deterministic golden workload and
 # compare fresh results against results/golden/.  Honors SKIP_REGRESSION=1

@@ -56,7 +56,6 @@ from repro.core.product_kernels import (
     LUTKernel,
     PerforatedKernel,
     ProductKernel,
-    exact_int_matmul,
 )
 from repro.core.shared_store import SharedArrayStore
 from repro.core.backends import (
@@ -95,7 +94,6 @@ __all__ = [
     "ChunkedKernel",
     "CallbackKernel",
     "KernelOptions",
-    "exact_int_matmul",
     "SharedArrayStore",
     "DEFAULT_BACKEND",
     "BackendUnavailableError",

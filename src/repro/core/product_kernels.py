@@ -25,11 +25,16 @@ The one-hot matrix has exactly ``taps`` ones per row, so the product is
 evaluated through a scipy CSR matrix when scipy is available, or through a
 per-tap gather loop otherwise — either way the 3-D gather is gone.
 
-All integer matrix products are executed in float64 BLAS and cast back: every
-partial product and every partial sum is a non-negative integer bounded by
-``taps * 255 * 255 << 2^53``, so the float64 accumulation is exact and the
-results are bit-identical to the int64 reference paths (enforced by the
-``pytest -m engine`` parity suite).
+All integer matrix products are executed in float32/float64 BLAS: every
+partial product and every partial sum is an integer bounded by
+``taps * 255 * 255 << 2^53``, so the floating-point accumulation is exact
+and the results are bit-identical to the int64 reference paths (enforced by
+the ``pytest -m engine`` parity suite).  Accurate and perforated kernels
+cast their sums back to int64, the dtype of the reference functions.  LUT
+kernels stay in float64 end to end: the error matrix is stored as float64
+(``|err| <= 255 * 255``, so every entry and every sum is exact), the dense
+and error sums are combined in float64, and the result is returned in the
+dtype the dequantization epilogue consumes — with no int64 round trip.
 """
 
 from __future__ import annotations
@@ -75,15 +80,6 @@ def _as_int64_weights(weight_codes: np.ndarray) -> np.ndarray:
     return w.astype(np.int64)
 
 
-def exact_int_matmul(lhs: np.ndarray, rhs_f64: np.ndarray) -> np.ndarray:
-    """``lhs @ rhs`` for non-negative integer operands, via float64 BLAS.
-
-    Exact because every partial sum is an integer below 2^53; BLAS is an
-    order of magnitude faster than numpy's native int64 matmul.
-    """
-    return (lhs.astype(np.float64) @ rhs_f64).astype(np.int64)
-
-
 #: Largest per-(patch, filter) product sum for which float32 accumulation is
 #: still exact (integers below 2^24).
 _F32_EXACT_BOUND = 1 << 24
@@ -114,17 +110,22 @@ class _WeightOperand:
             else None
         )
 
-    def matmul(self, lhs: np.ndarray) -> np.ndarray:
-        """Exact ``lhs @ w`` as int64 for integer-valued ``lhs``.
+    def matmul(self, lhs: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """Exact ``lhs @ w`` as ``dtype`` (int64 or float64) for
+        integer-valued ``lhs``.
 
         The float32 path is only taken for uint8 operands — the dtype
         guarantees the <= 255 bound the exactness argument needs; any other
         integer input goes through float64, which is exact for every partial
-        sum below 2^53.
+        sum below 2^53 (and an order of magnitude faster than numpy's native
+        int64 matmul).  Every sum is an integer either way, so the cast to
+        ``dtype`` is exact.
         """
         if self._f32 is not None and lhs.dtype == np.uint8:
-            return (lhs.astype(np.float32) @ self._f32).astype(np.int64)
-        return exact_int_matmul(lhs, self._f64)
+            sums = lhs.astype(np.float32) @ self._f32
+        else:
+            sums = lhs.astype(np.float64) @ self._f64
+        return sums.astype(dtype, copy=False)
 
 
 class ProductKernel(abc.ABC):
@@ -132,7 +133,10 @@ class ProductKernel(abc.ABC):
 
     Calling the kernel with ``(patches, taps)`` activation codes returns the
     ``(patches, filters)`` raw product sums, exactly as the corresponding
-    legacy function in :mod:`repro.core.approx_conv` would.
+    legacy function in :mod:`repro.core.approx_conv` would.  The result is
+    a new array owned by the caller: the executor dequantizes float64 sums
+    in place (``overwrite_product_sum=True``), so a kernel must never
+    return an array it keeps or reuses.
     """
 
     def __init__(self, taps: int, filters: int):
@@ -222,7 +226,9 @@ class LUTKernel(ProductKernel):
 
     The table is decomposed as ``lut[w, a] = w * a - err[w, a]`` (see the
     module docstring); an exact multiplier therefore compiles down to the
-    plain matmul with no error term at all.
+    plain matmul with no error term at all.  Sums are returned as float64
+    (exact integers) on every path: compiled sparse product, no-scipy
+    per-tap gather and low-memory streaming.
     """
 
     def __init__(
@@ -240,7 +246,7 @@ class LUTKernel(ProductKernel):
         super().__init__(*w.shape)
         self._w_op = _WeightOperand(w)
         levels = np.arange(OPERAND_LEVELS, dtype=np.int64)
-        err_table = levels[:, None] * levels[None, :] - lut
+        err_table = (levels[:, None] * levels[None, :] - lut).astype(np.float64)
         # _err_table/_w are only needed by the low-memory per-batch fallback;
         # on the exact and fully-compiled paths they are dropped below.
         self._err_table: np.ndarray | None = None
@@ -258,7 +264,7 @@ class LUTKernel(ProductKernel):
             return
         # E[j * 256 + a, f] = err[w[j, f], a], built in tap chunks to bound
         # the transient (taps, filters, 256) intermediate.
-        matrix = np.empty((self.taps * OPERAND_LEVELS, self.filters), dtype=np.int64)
+        matrix = np.empty((self.taps * OPERAND_LEVELS, self.filters), dtype=np.float64)
         view = matrix.reshape(self.taps, OPERAND_LEVELS, self.filters)
         chunk = max(1, (1 << 24) // max(1, OPERAND_LEVELS * self.filters * 8))
         for start in range(0, self.taps, chunk):
@@ -279,21 +285,23 @@ class LUTKernel(ProductKernel):
             act.min() < 0 or act.max() >= OPERAND_LEVELS
         ):
             raise ValueError(f"activation codes out of range [0, {OPERAND_LEVELS - 1}]")
-        sums = self._w_op.matmul(act)
+        sums = self._w_op.matmul(act, dtype=np.float64)
         if self._exact:
             return sums
         if self._error_matrix is not None:
-            return sums - self._error_sums_compiled(act)
-        return sums - self._error_sums_lowmem(act)
+            sums -= self._error_sums_compiled(act)
+        else:
+            sums -= self._error_sums_lowmem(act)
+        return sums
 
     # ------------------------------------------------------------------
     def _error_sums_compiled(self, act: np.ndarray) -> np.ndarray:
         patches = act.shape[0]
         indices = (act + self._tap_offsets[None, :]).ravel()
         if _sparse is not None:
-            # int8 ones: 8x smaller than int64 for a patches*taps-long array
-            # that is pure structure; scipy promotes the product back to the
-            # error matrix's int64.
+            # int8 ones: 8x smaller than float64 for a patches*taps-long
+            # array that is pure structure; scipy promotes the product to the
+            # error matrix's float64 and runs its float64 sparse loop.
             if self._ones.shape[0] < indices.shape[0]:
                 self._ones = np.ones(indices.shape[0], dtype=np.int8)
             indptr = np.arange(patches + 1, dtype=np.int64) * self.taps
@@ -303,13 +311,13 @@ class LUTKernel(ProductKernel):
             )
             return np.asarray(onehot @ self._error_matrix)
         view = self._error_matrix.reshape(self.taps, OPERAND_LEVELS, self.filters)
-        err = np.zeros((patches, self.filters), dtype=np.int64)
+        err = np.zeros((patches, self.filters), dtype=np.float64)
         for j in range(self.taps):
             err += view[j][act[:, j]]
         return err
 
     def _error_sums_lowmem(self, act: np.ndarray) -> np.ndarray:
-        err = np.zeros((act.shape[0], self.filters), dtype=np.int64)
+        err = np.zeros((act.shape[0], self.filters), dtype=np.float64)
         for j in range(self.taps):
             err += self._err_table[self._w[j][None, :], act[:, j][:, None]]
         return err
@@ -348,7 +356,8 @@ class CallbackKernel(ProductKernel):
 
     Used by product models that do not provide a specialized compiled form;
     the weight codes and control variate are still bound once at compile
-    time, so callers need no per-batch layer state.
+    time, so callers need no per-batch layer state.  The wrapped
+    ``product_sums`` must return a fresh array, as every kernel does.
     """
 
     def __init__(self, product_model, weight_codes: np.ndarray, control_variate):
@@ -386,9 +395,13 @@ class MultiPlanKernel:
       by mask so e.g. the ±V variants of one ``m`` share a single masked
       matmul.
 
-    Output is always the ``(P*N, filters)`` product sums in float64 — the
-    dtype :meth:`QuantizedLinearOp.output_real` converts to anyway — with
-    block p bit-identical (as a value) to ``kernels[p](act_block_p)``.
+    Output is always a fresh ``(P*N, filters)`` float64 array of product
+    sums — the dense products are taken in float64 straight from BLAS and
+    the LUT error sums subtracted in float64, so no block round-trips
+    through int64 — with block p bit-identical (as a value) to
+    ``kernels[p](act_block_p)``.  The executor hands this array to
+    :meth:`QuantizedLinearOp.output_real_stacked` (or ``output_real``) with
+    ``overwrite_product_sum=True``, which dequantizes it in place.
     Kernel types the fusion does not understand (chunked, callback,
     streaming low-memory LUTs) are evaluated per block through their own
     kernel, so fusion never changes results, only launch count.
@@ -517,7 +530,7 @@ class MultiPlanKernel:
                         np.subtract(block, x, out=dst)
                     else:
                         dst[...] = blocks[p]
-            dense = self._w_op.matmul(lhs)
+            dense = self._w_op.matmul(lhs, dtype=np.float64)
             for row, p in enumerate(dense_blocks):
                 sums = dense[row * n : (row + 1) * n]
                 self._finish_block(
@@ -552,7 +565,7 @@ class MultiPlanKernel:
                 x = act & mask
                 masked_x_sums[mask] = x.sum(axis=1, dtype=np.int64)
                 np.subtract(act, x, out=lhs[row * n : (row + 1) * n])
-            dense = self._w_op.matmul(lhs)
+            dense = self._w_op.matmul(lhs, dtype=np.float64)
             masked = {
                 mask: dense[row * n : (row + 1) * n]
                 for row, mask in enumerate(distinct_masks)
@@ -565,7 +578,7 @@ class MultiPlanKernel:
                 sums = masked[self.kernels[p]._mask]
             else:
                 if exact is None:
-                    exact = self._w_op.matmul(act)
+                    exact = self._w_op.matmul(act, dtype=np.float64)
                 sums = exact
             self._finish_block(
                 out, p, n, act, sums,
@@ -602,7 +615,7 @@ class MultiPlanKernel:
             correction = kernel.control_variate.correction(masked_sums)
             if kernel.control_variate.quantized:
                 correction = correction.astype(np.int64)
-            np.add(sums, correction, out=dst, casting="unsafe")
+            np.add(sums, correction, out=dst)
         else:
             dst[...] = sums
 
@@ -645,5 +658,4 @@ __all__ = [
     "ChunkedKernel",
     "CallbackKernel",
     "MultiPlanKernel",
-    "exact_int_matmul",
 ]

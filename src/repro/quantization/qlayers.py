@@ -15,6 +15,12 @@ keeps the weights and the exact correction terms and accepts the raw product
 sum from any product model — the accurate matmul by default, or the
 approximate / control-variate-corrected sums produced by
 :mod:`repro.core.approx_conv`.
+
+The dequantization (:meth:`QuantizedLinearOp.output_real` for one block of
+sums, :meth:`QuantizedLinearOp.output_real_stacked` for several plan blocks
+over one shared activation block) runs through one body that applies the
+correction chain in place on a float64 array.  Callers that own their
+float64 sums pass ``overwrite_product_sum=True`` to spare the copy.
 """
 
 from __future__ import annotations
@@ -60,8 +66,11 @@ class QuantizedLinearOp:
         if bias.shape != (self.filters,):
             raise ValueError(f"bias must have shape ({self.filters},), got {bias.shape}")
         self.bias = bias
-        # Exact per-filter weight-code sums used by the zero-point correction.
-        self._weight_code_sums = weight_codes.astype(np.int64).sum(axis=0)
+        # Exact per-filter weight-code sums used by the zero-point correction,
+        # kept as float64 (integers far below 2^53, so the conversion is exact).
+        self._weight_code_sums = weight_codes.sum(axis=0, dtype=np.int64).astype(
+            np.float64
+        )
 
     # ------------------------------------------------------------------
     def exact_product_sum(self, act_codes: np.ndarray) -> np.ndarray:
@@ -74,6 +83,8 @@ class QuantizedLinearOp:
         act_codes: np.ndarray,
         act_params: QuantParams,
         product_sum: np.ndarray | None = None,
+        *,
+        overwrite_product_sum: bool = False,
     ) -> np.ndarray:
         """Dequantized real output of the quantized linear operation.
 
@@ -88,27 +99,16 @@ class QuantizedLinearOp:
             When ``None``, the exact sum is used.  Approximate product models
             (perforation, LUT multipliers, control-variate correction) pass
             their own sums here.
+        overwrite_product_sum:
+            The caller owns ``product_sum`` and does not read it again: a
+            C-contiguous float64 array is then dequantized in place and
+            returned, sparing a full-size copy.  Off by default, so a
+            caller's array is never modified.
         """
         act = self._check_activations(act_codes)
         if product_sum is None:
             product_sum = self.exact_product_sum(act)
-        product_sum = np.asarray(product_sum, dtype=np.float64)
-        expected = (act.shape[0], self.filters)
-        if product_sum.shape != expected:
-            raise ValueError(
-                f"product_sum must have shape {expected}, got {product_sum.shape}"
-            )
-        act_sums = act.astype(np.int64).sum(axis=1, keepdims=True).astype(np.float64)
-        z_w = float(self.weight_params.zero_point)
-        z_a = float(act_params.zero_point)
-        corrected = (
-            product_sum
-            - z_w * act_sums
-            - z_a * self._weight_code_sums.astype(np.float64)[None, :]
-            + float(self.taps) * z_w * z_a
-        )
-        scale = self.weight_params.scale * act_params.scale
-        return scale * corrected + self.bias[None, :]
+        return self._dequantize(act, act_params, product_sum, 1, overwrite_product_sum)
 
     def output_real_stacked(
         self,
@@ -116,45 +116,63 @@ class QuantizedLinearOp:
         act_params: QuantParams,
         product_sums: np.ndarray,
         plans: int,
+        *,
+        overwrite_product_sum: bool = False,
     ) -> np.ndarray:
         """Dequantized outputs of ``plans`` product-sum blocks sharing one
         activation block (block ``p`` = rows ``[p*N, (p+1)*N)``).
 
         Bit-exact with tiling ``act_codes`` ``plans`` times and calling
-        :meth:`output_real` once — every correction is elementwise with the
-        same operands in the same order — but the act-dependent terms
-        (the int64 widening + per-patch sums of the shared codes) are
-        computed once instead of once per block.
+        :meth:`output_real` once — both run the same body, which computes
+        the per-patch activation sums once and broadcasts them across the
+        blocks.  ``overwrite_product_sum`` is as in :meth:`output_real`.
         """
         act = self._check_activations(act_codes)
-        product_sums = np.array(product_sums, dtype=np.float64)
+        return self._dequantize(act, act_params, product_sums, plans, overwrite_product_sum)
+
+    def _dequantize(
+        self,
+        act: np.ndarray,
+        act_params: QuantParams,
+        product_sums: np.ndarray,
+        plans: int,
+        overwrite: bool,
+    ) -> np.ndarray:
+        """The correction chain ``scale * (sums - z_w*Σa - z_a*Σw + K*z_w*z_a)
+        + bias`` over ``plans`` stacked blocks of ``act``'s rows.
+
+        Each step is one in-place elementwise operation with the operands
+        and order of the textbook expression, so the result is bit-exact
+        with evaluating that expression on fresh temporaries, for any float
+        input (unquantized control-variate sums included).  The product
+        sums are converted to float64 at most once, and the activation
+        sums reduce the uint8 codes straight into int64 accumulators
+        rather than widening a ``(patches, taps)`` copy first.
+        """
+        product_sums = np.asarray(product_sums)
         n = act.shape[0]
         expected = (plans * n, self.filters)
         if product_sums.shape != expected:
             raise ValueError(
                 f"product_sums must have shape {expected}, got {product_sums.shape}"
             )
-        # int64-accumulated reduce: identical sums to astype(int64).sum()
-        # (integer arithmetic) without materializing the 8x-wider act
-        # temporary on the stacked hot path.
+        owned = (
+            overwrite
+            and product_sums.dtype == np.float64
+            and product_sums.flags.c_contiguous
+            and product_sums.flags.writeable
+        )
+        out = product_sums if owned else product_sums.astype(np.float64, order="C")
         act_sums = act.sum(axis=1, keepdims=True, dtype=np.int64).astype(np.float64)
         z_w = float(self.weight_params.zero_point)
         z_a = float(act_params.zero_point)
-        # The elementwise operations and their order match output_real
-        # exactly (bit-exact results); they are applied in place on the
-        # owned float64 copy, sparing one (plans*n, filters) temporary per
-        # step of the correction chain.
-        out = product_sums.reshape(plans, n, self.filters)
-        np.subtract(out, (z_w * act_sums)[None], out=out)
-        np.subtract(
-            out, (z_a * self._weight_code_sums.astype(np.float64))[None, None, :],
-            out=out,
-        )
-        np.add(out, float(self.taps) * z_w * z_a, out=out)
-        scale = self.weight_params.scale * act_params.scale
-        np.multiply(out, scale, out=out)
-        np.add(out, self.bias[None, None, :], out=out)
-        return out.reshape(expected)
+        blocks = out.reshape(plans, n, self.filters)
+        np.subtract(blocks, (z_w * act_sums)[None], out=blocks)
+        np.subtract(blocks, (z_a * self._weight_code_sums)[None, None, :], out=blocks)
+        np.add(blocks, float(self.taps) * z_w * z_a, out=blocks)
+        np.multiply(blocks, self.weight_params.scale * act_params.scale, out=blocks)
+        np.add(blocks, self.bias[None, None, :], out=blocks)
+        return out
 
     # ------------------------------------------------------------------
     def _check_activations(self, act_codes: np.ndarray) -> np.ndarray:

@@ -379,7 +379,8 @@ class _PlanContext:
 
 
 #: Row budget of one stacked suffix launch (images per chunk scale as
-#: target // lines).  Tuned empirically: far below it the chunked walk
+#: target // lines).  Tuned empirically on the fused sweep bench (128 and
+#: 256 tie, 512 and 1024 are slower): far below it the chunked walk
 #: degenerates into the per-plan loop's call counts; far above it the
 #: stacked activations (and every astype/matmul temp behind them) fall out
 #: of cache into allocation churn.
@@ -1255,9 +1256,12 @@ class ApproximateExecutor:
             # terms computed once, broadcast across blocks) reproduces the
             # per-block output_real calls bit-exactly without tiling.
             return op.output_real_stacked(
-                act_codes, qnode.act_params, sums, len(models)
+                act_codes, qnode.act_params, sums, len(models),
+                overwrite_product_sum=True,
             )
-        return op.output_real(act_codes, qnode.act_params, product_sum=sums)
+        return op.output_real(
+            act_codes, qnode.act_params, product_sum=sums, overwrite_product_sum=True
+        )
 
     # ------------------------------------------------------------------
     def _run_mac_node(
@@ -1428,7 +1432,14 @@ class ApproximateExecutor:
             sums = product_model.product_sums(
                 act_codes, weight_codes, qnode.control_variates[group]
             )
-        return op.output_real(act_codes, qnode.act_params, product_sum=sums)
+        # Compiled kernels return fresh arrays (the ProductKernel contract),
+        # so their float64 sums are dequantized in place.
+        return op.output_real(
+            act_codes,
+            qnode.act_params,
+            product_sum=sums,
+            overwrite_product_sum=self.use_compiled,
+        )
 
 
 def _expand_line_blocks(arr: np.ndarray, rows: int, counts: Sequence[int]) -> np.ndarray:

@@ -3,7 +3,7 @@
 Complements the parity suite in ``test_engine_kernels.py``: this file pins
 the *registry* contract (selection, availability, clean fallback, config /
 CLI threading) and the numeric exactness boundaries of the float-BLAS
-machinery (``exact_int_matmul`` and ``_WeightOperand``'s f32/f64 promotion)
+machinery (``_WeightOperand``'s float64 products and f32/f64 promotion)
 with randomized property tests.
 """
 
@@ -33,7 +33,6 @@ from repro.core.product_kernels import (
     PerforatedKernel,
     _F32_EXACT_BOUND,
     _WeightOperand,
-    exact_int_matmul,
 )
 from repro.simulation.inference import (
     ApproximateExecutor,
@@ -289,7 +288,8 @@ class TestLowMemoryBackend:
 class TestExactnessBoundaries:
     """Randomized property tests of the float-BLAS exactness machinery."""
 
-    def test_exact_int_matmul_randomized(self, rng):
+    def test_weight_operand_wide_integers_randomized(self, rng):
+        """Wide integer operands take the float64 path, exact in both dtypes."""
         for _ in range(20):
             patches = int(rng.integers(1, 40))
             taps = int(rng.integers(1, 60))
@@ -298,9 +298,12 @@ class TestExactnessBoundaries:
             lhs = rng.integers(0, 1 << 22, size=(patches, taps))
             rhs = rng.integers(0, 1 << 22, size=(taps, filters))
             expected = lhs @ rhs  # exact int64 reference
-            result = exact_int_matmul(lhs, rhs.astype(np.float64))
-            assert result.dtype == np.int64
-            np.testing.assert_array_equal(result, expected)
+            op = _WeightOperand(rhs)
+            assert op._f32 is None
+            for dtype in (np.int64, np.float64):
+                result = op.matmul(lhs, dtype=dtype)
+                assert result.dtype == dtype
+                np.testing.assert_array_equal(result, expected)
 
     @staticmethod
     def _column_with_sum(total: int) -> np.ndarray:

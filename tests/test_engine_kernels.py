@@ -24,6 +24,7 @@ from repro.core.product_kernels import (
     AccurateKernel,
     CallbackKernel,
     LUTKernel,
+    MultiPlanKernel,
     PerforatedKernel,
 )
 from repro.multipliers.accurate import AccurateMultiplier
@@ -202,6 +203,69 @@ class TestKernelParity:
         assert isinstance(PerforatedProduct(2).compile(weights, cv), PerforatedKernel)
         lut_model = LUTProduct(PerforatedMultiplier(1))
         assert isinstance(lut_model.compile(weights, cv), LUTKernel)
+
+
+#: Taps of the largest MAC layer in the model zoo (VGG's 512-channel 3x3
+#: convolutions): the longest sum any LUT error path accumulates.
+LARGEST_LAYER_TAPS = 512 * 3 * 3
+
+
+def _lut_sums_sparse(weights, lut, acts, monkeypatch):
+    return LUTKernel(weights, lut)(acts)
+
+
+def _lut_sums_gather(weights, lut, acts, monkeypatch):
+    import repro.core.product_kernels as pk
+
+    kernel = LUTKernel(weights, lut)
+    monkeypatch.setattr(pk, "_sparse", None)
+    return kernel(acts)
+
+
+def _lut_sums_lowmem(weights, lut, acts, monkeypatch):
+    kernel = LUTKernel(weights, lut, max_error_matrix_bytes=0)
+    assert kernel._error_matrix is None
+    return kernel(acts)
+
+
+def _lut_sums_fused(weights, lut, acts, monkeypatch):
+    # Two distinct kernels over one table: two slots of the stacked error
+    # matrix, each block's one-hot columns offset into its own slot.
+    fused = MultiPlanKernel([LUTKernel(weights, lut), LUTKernel(weights, lut)])
+    assert fused._stacked_error is not None
+    stacked = fused.product_sums_multi(np.concatenate([acts[::-1], acts]))
+    n = acts.shape[0]
+    np.testing.assert_array_equal(stacked[:n], stacked[n:][::-1])
+    return stacked[n:]
+
+
+class TestLUTErrorPaths:
+    """Every LUT error path runs in float64 and stays bit-exact at the
+    largest layer's taps, including the adversarial all-zero table whose
+    errors ``w * a`` reach 255 * 255 on every tap."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [_lut_sums_sparse, _lut_sums_gather, _lut_sums_lowmem, _lut_sums_fused],
+        ids=["sparse", "gather", "lowmem", "fused"],
+    )
+    @pytest.mark.parametrize("table", ["zero", "random"])
+    def test_bit_exact_at_largest_taps(self, rng, monkeypatch, path, table):
+        taps = LARGEST_LAYER_TAPS
+        weights = rng.integers(0, 256, size=(taps, 4), dtype=np.uint8)
+        weights[:, 0] = 255
+        weights[:, 1] = 0
+        acts = rng.integers(0, 256, size=(6, taps), dtype=np.uint8)
+        acts[0] = 255
+        acts[1] = 0
+        if table == "zero":
+            lut = np.zeros((256, 256), dtype=np.int64)
+        else:
+            lut = random_lut(rng)
+        expected = lut_product_sums(acts, weights, lut)
+        result = path(weights, lut, acts, monkeypatch)
+        assert result.dtype == np.float64
+        assert result.tobytes() == expected.astype(np.float64).tobytes()
 
 
 class TestBackendKernelParity:
