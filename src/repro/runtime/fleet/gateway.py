@@ -42,6 +42,7 @@ from repro.runtime.fleet.pool import BackendDownError, BackendPool
 from repro.runtime.fleet.router import RoutingTable
 from repro.runtime.jobs.client import JobClientError
 from repro.runtime.jobs.queue import AdmissionError
+from repro.runtime.server import read_json_object
 from repro.runtime.stats import STATS_SCHEMA
 
 
@@ -260,16 +261,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _submit_job(self) -> None:
         server = self.server
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._send_error_json(400, f"request body is not valid JSON: {error}")
-            return
-        if not isinstance(payload, dict):
-            self._send_error_json(400, "request body must be a JSON object")
+            payload = read_json_object(self)
+        except ValueError as error:
+            self._send_error_json(400, str(error))
             return
         # Resolve the model reference against the global routing table.
         try:

@@ -18,7 +18,8 @@ API (all JSON)::
                           "session": ..., "label": ...,
                           "priority": int?, "deadline_s": seconds?}
                          -> 202 {"job": {...}}   (409-free: poll the job)
-                         -> 400 bad model/plan payloads
+                         -> 400 bad model/plan payloads, or a negative
+                                or non-integer Content-Length
                          -> 404 unknown model
                          -> 429 {"reason": "queue_full" | "session_busy"}
     GET  /jobs/<id>      {"job": {id, state, accuracies, cache_hits, ...}}
@@ -41,6 +42,32 @@ from repro.runtime.jobs.codec import PlanCodecError, decode_plans
 from repro.runtime.jobs.manager import JobManager
 from repro.runtime.jobs.queue import AdmissionError
 from repro.runtime.jobs.sessions import SessionError
+
+
+def read_json_object(handler: BaseHTTPRequestHandler) -> dict:
+    """The request body of ``handler`` as a JSON object.
+
+    Raises :class:`ValueError` carrying the message of the 400 reply.  A
+    negative or non-integer ``Content-Length`` is rejected before any
+    read — ``rfile.read(-1)`` would block the handler thread until the
+    client half-closes — and the connection is closed after the reply,
+    since the unread body must not be parsed as the next request.
+    """
+    raw = handler.headers.get("Content-Length", "0")
+    try:
+        length = int(raw)
+    except ValueError:
+        length = -1
+    if length < 0:
+        handler.close_connection = True
+        raise ValueError(f"Content-Length must be a non-negative integer, got {raw!r}")
+    try:
+        payload = json.loads(handler.rfile.read(length).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise ValueError(f"request body is not valid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    return payload
 
 
 class JobServer(ThreadingHTTPServer):
@@ -142,16 +169,9 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     def _submit_job(self) -> None:
         manager = self.server.manager
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._send_error_json(400, f"request body is not valid JSON: {error}")
-            return
-        if not isinstance(payload, dict):
-            self._send_error_json(400, "request body must be a JSON object")
+            payload = read_json_object(self)
+        except ValueError as error:
+            self._send_error_json(400, str(error))
             return
         # Resolve the model reference: explicit index or name (+ dataset).
         if "model_index" in payload:

@@ -8,8 +8,11 @@ service is the one execution path behind all of them:
   once into shared blocks (:mod:`repro.runtime.publishing`); workers
   attach read-only views, so N workers hold one copy of the bytes;
 * **persistent workers** — one process pool outlives every submitted
-  batch: executors stay calibrated, kernels stay compiled, and successive
-  DSE generations or sweep batches pay zero per-batch setup;
+  batch, and each worker calibrates every hosted model at most once
+  (:mod:`repro.runtime.worker`): a session alternating between networks
+  reuses their executors, while only the active model's executor holds
+  compiled kernels and activation buffers.  Successive DSE generations,
+  sweep batches or served jobs pay zero per-batch setup;
 * **prefix-aware scheduling** — submitted cells are ordered with the
   fingerprint schedule of :mod:`repro.runtime.scheduling` and distributed
   as contiguous chunks, so plans sharing a layer prefix land adjacently on
@@ -488,8 +491,10 @@ class EvaluationService:
         ``jobs``/``cache``/``sessions`` sections.  v1.1 adds (additively)
         the fused multi-plan observability counters: ``fused_launches``,
         ``fused_plans_total``, ``plans_per_launch_avg`` (``None`` until the
-        first fused launch) and the prefix-checkpoint / activation-code
-        cache hit counters, aggregated across every worker.
+        first fused launch), the prefix-checkpoint / activation-code cache
+        hit counters, ``executor_builds`` (calibrated executors constructed;
+        at most one per hosted model per worker) and ``cells_evaluated``,
+        all aggregated across every worker on both execution paths.
         """
         from repro.runtime.stats import runtime_stats
 
@@ -518,9 +523,6 @@ class EvaluationService:
         if self._cost_model is not None:
             engine["cost_model_observations"] = self._cost_model.observations
             engine["cost_model_seconds_per_unit"] = self._cost_model.seconds_per_unit
-        if self._serial_state is not None:
-            engine["executor_builds"] = self._serial_state.get("executor_builds", 0)
-            engine["cells_evaluated"] = self._serial_state.get("cells_evaluated", 0)
         return runtime_stats(engine)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,9 @@ v1.1 extends ``engine`` *additively* with the fused multi-plan
 observability counters (``fused_launches``, ``fused_plans_total``,
 ``plans_per_launch_avg``) and the cross-plan reuse cache counters
 (``prefix_cache_hits``/``misses``, ``act_cache_hits``/``misses``); every
-v1 key keeps its meaning, so v1 consumers keep working.
+v1 key keeps its meaning, so v1 consumers keep working.  ``executor_builds``
+and ``cells_evaluated``, once reported by serial services only, are summed
+over the pool workers too.
 """
 
 from __future__ import annotations

@@ -5,12 +5,16 @@ One worker process hosts:
 * the attached trained models and datasets (read-only views into the
   service's shared blocks when publication is on — see
   :mod:`repro.runtime.publishing`);
-* a **single-slot executor cache**: the calibrated
-  :class:`~repro.simulation.inference.ApproximateExecutor` of the most
-  recently evaluated model.  Schedules group cells by model
-  (:mod:`repro.runtime.scheduling`), so this preserves reuse across a
-  model's cells while bounding peak memory to one executor (kernel caches,
-  activation buffers and quantized weights included);
+* one calibrated
+  :class:`~repro.simulation.inference.ApproximateExecutor` per hosted model,
+  built on the model's first cell and kept for the life of the state, so a
+  host that alternates between networks calibrates each one once.  Only the
+  *active* model's executor holds a working set: switching models calls
+  :meth:`~repro.simulation.inference.ApproximateExecutor.release_batch_state`
+  on the outgoing one (kernels, activation buffers and caches, prefix
+  checkpoints, plan context), so peak memory is one executor's working set
+  plus each hosted model's calibration (quantizer ranges, weight codes,
+  control variates);
 * the plan-context arming: every chunk a worker receives carries its plans,
   and the executor's plan-invariant prefix reuse is armed with exactly that
   chunk's plan set before evaluation (bit-exact — checkpoints are only
@@ -44,9 +48,10 @@ from repro.simulation.metrics import accuracy
 #: path never touches it — each in-process service owns a private dict.
 _WORKER_STATE: dict = {}
 
-#: Executor counters mirrored into the worker state (and reported per chunk
-#: to the service).  Accumulated as *deltas* around each model segment, so
-#: the single-slot executor cache dropping an executor never loses counts.
+#: Counters of a worker state, reported per chunk to the service: the
+#: executor counters (mirrored as *deltas* around each model segment, so the
+#: totals never depend on which executor a segment ran on), then the
+#: ``ApproximateExecutor`` constructions and the evaluated cells.
 STAT_COUNTERS = (
     "fused_launches",
     "fused_plans_total",
@@ -54,6 +59,8 @@ STAT_COUNTERS = (
     "prefix_cache_misses",
     "act_cache_hits",
     "act_cache_misses",
+    "executor_builds",
+    "cells_evaluated",
 )
 
 
@@ -90,8 +97,7 @@ def init_worker_state(
         fuse_plans=bool(fuse_plans),
         plan_group_size=int(plan_group_size),
         executors={},
-        executor_builds=0,
-        cells_evaluated=0,
+        active_model=None,
     )
     state.update({counter: 0 for counter in STAT_COUNTERS})
 
@@ -104,17 +110,22 @@ def _init_pool_worker(*initargs) -> None:
 def executor_for(
     state: dict, model_index: int, plans: "Sequence[ExecutionPlan] | None" = None
 ) -> ApproximateExecutor:
-    """Calibrated executor of one model, cached per worker (single slot).
+    """Calibrated executor of one model, built once per worker state.
 
-    Only the most recent model's executor is kept: schedules group cells by
-    model, so this preserves reuse across a model's cells while bounding
-    peak memory to one executor — matching the serial sweep's profile.
+    Every hosted model keeps its executor, so no model is calibrated twice.
+    When the active model changes, the outgoing executor releases its batch
+    state, which bounds peak memory to the active executor's working set
+    plus the other models' calibration.
     When ``plans`` is given (and reuse is on) the executor's plan-invariant
     prefix reuse is armed with that plan set, replacing any previous
     context; consecutive cells of the chunk then resume at the deepest
     matching checkpoint instead of re-running shared layer prefixes.
     """
-    executor = state["executors"].get(model_index)
+    executors = state["executors"]
+    active = state["active_model"]
+    if active is not None and active != model_index:
+        executors[active].release_batch_state()
+    executor = executors.get(model_index)
     if executor is None:
         trained = state["models"][model_index]
         dataset = state["datasets"][trained.dataset_name]
@@ -127,9 +138,9 @@ def executor_for(
             reuse_plan_invariant_acts=reuse,
             reuse_plan_invariant_prefix=reuse,
         )
-        state["executors"].clear()
-        state["executors"][model_index] = executor
+        executors[model_index] = executor
         state["executor_builds"] += 1
+    state["active_model"] = model_index
     if plans and state.get("reuse_prefix", True):
         executor.set_plan_context(list(plans))
     return executor
@@ -212,16 +223,10 @@ def eval_cell_chunk(
             for predictions in predictions_per_plan:
                 results.append(accuracy(predictions, test_labels))
                 state["cells_evaluated"] += 1
-        after = _executor_counters(executor)
-        for counter in STAT_COUNTERS:
-            state[counter] = state.get(counter, 0) + after[counter] - before[counter]
+        for counter, value in _executor_counters(executor).items():
+            state[counter] += value - before[counter]
         start = stop
     return results
-
-
-def _eval_cell_chunk_task(chunk: Sequence[tuple[int, ExecutionPlan]]) -> list[float]:
-    """Pool task: evaluate one chunk against the process-global state."""
-    return eval_cell_chunk(_WORKER_STATE, chunk)
 
 
 def _timed_eval_cell_chunk_task(
@@ -234,7 +239,8 @@ def _timed_eval_cell_chunk_task(
     :class:`~repro.runtime.cost_model.CellCostModel` for online refinement
     of the per-technique throughput factors.  ``counters`` is this chunk's
     *delta* of the :data:`STAT_COUNTERS` (fused launches, prefix/act cache
-    hits), which the service aggregates for :meth:`EvaluationService.stats`.
+    hits, executor builds, evaluated cells), which the service aggregates
+    for :meth:`EvaluationService.stats`.
     """
     before = {
         counter: _WORKER_STATE.get(counter, 0) for counter in STAT_COUNTERS

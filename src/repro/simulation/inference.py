@@ -573,15 +573,37 @@ class ApproximateExecutor:
                 raise ValueError("override shape mismatch")
             overrides.append(codes)
         node.weight_overrides = overrides
-        self._kernel_cache = weakref.WeakKeyDictionary()
-        self._multi_kernel_cache = {}
-        # Prefix checkpoints embed the (old) weights of prefix MAC layers.
-        self._prefix_cache = {}
+        self._reset_weight_caches()
 
     def clear_weight_overrides(self) -> None:
         """Remove all inference-time weight overrides."""
         for node in self._nodes.values():
             node.weight_overrides = [None] * len(node.ops)
+        self._reset_weight_caches()
+
+    def release_batch_state(self) -> None:
+        """Drop everything but the calibration, keeping the executor reusable.
+
+        Frees the compiled and fused kernels, the activation buffers, the
+        activation-code cache, the prefix checkpoints and the plan context;
+        only the quantized MAC nodes (quantizer ranges, weight codes and
+        any overrides, control variates) stay.  Every dropped cache is
+        rebuilt lazily by the next forward pass, bit-exactly, so a host of
+        several models can keep one calibrated executor per model while
+        holding the working set of the active one only.  Counters stay
+        cumulative.
+        """
+        self._reset_weight_caches()
+        self._act_buffers = {}
+        self._act_cache = {}
+        self._plan_context = None
+
+    def _reset_weight_caches(self) -> None:
+        """Drop the caches that embed the weights in use (overrides included).
+
+        Compiled kernels (plain and fused) and prefix checkpoints; every
+        weight change and :meth:`release_batch_state` go through here.
+        """
         self._kernel_cache = weakref.WeakKeyDictionary()
         self._multi_kernel_cache = {}
         self._prefix_cache = {}

@@ -115,6 +115,25 @@ def client(fleet):
     return HttpJobClient(gateway.url, poll_interval=0.01)
 
 
+def _raw_post_jobs(url: str, content_length: str) -> tuple[int, dict]:
+    """POST /jobs with a bare ``Content-Length`` header and no body.
+
+    The client never closes its write side: a server that tried to read
+    a body would stall until the socket timeout instead of answering.
+    Returns the status and the JSON reply, read up to the server's close.
+    """
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = sock.makefile("rb").read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 # ----------------------------------------------------------------------
 class TestRoutingTable:
     INFO_A = {
@@ -206,6 +225,16 @@ class TestGatewayEndpoints:
                 "lenet9000", [ExecutionPlan.uniform(AccurateProduct())]
             )
         assert error.value.status == 404
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_is_400_without_reading(
+        self, fleet, client, content_length
+    ):
+        gateway, _managers = fleet
+        status, body = _raw_post_jobs(gateway.url, content_length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert client.healthz()["status"] == "ok"  # the gateway keeps serving
 
     def test_unknown_job_ref_is_404(self, client):
         for ref in ("nonsense", "shard0/job-999999", "ghost/job-000001"):

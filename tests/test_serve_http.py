@@ -19,6 +19,7 @@ The daemon contract lives here:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -67,6 +68,25 @@ def server(trained, tiny_dataset):
 @pytest.fixture()
 def client(server):
     return HttpJobClient(server.url, poll_interval=0.01)
+
+
+def _raw_post_jobs(url: str, content_length: str) -> tuple[int, dict]:
+    """POST /jobs with a bare ``Content-Length`` header and no body.
+
+    The client never closes its write side: a server that tried to read
+    a body would stall until the socket timeout instead of answering.
+    Returns the status and the JSON reply, read up to the server's close.
+    """
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = sock.makefile("rb").read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestEndpoints:
@@ -136,6 +156,15 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(request)
         assert error.value.code == 400
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_is_400_without_reading(
+        self, server, client, content_length
+    ):
+        status, body = _raw_post_jobs(server.url, content_length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert client.healthz()["status"] == "ok"  # the daemon keeps serving
 
     def test_empty_plans_is_400(self, server):
         request = urllib.request.Request(
