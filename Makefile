@@ -16,7 +16,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -W error::pytest.PytestUnknownMarkWarning
 
-.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke perfbench-smoke verify-results bench-refresh
+.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke perfbench-smoke verify-results bench-refresh bench-pairs
 
 # verify-results runs LAST so it judges the bench ledger the engine/dse/
 # serve targets just rewrote, not a stale one.
@@ -98,3 +98,17 @@ verify-results:
 # Review the diff before committing.
 bench-refresh:
 	PYTHONPATH=src $(PYTHON) -m repro verify-results --refresh
+
+# Paired parent-vs-change benchmark runs for a perf claim: alternating,
+# never concurrent, untraced `perfbench/run.py` runs on both trees; prints
+# each end-to-end metric's medians, quartiles, pair wins and the gain /
+# regression verdict.  PARENT is a checkout of the parent commit, e.g.
+#   git archive HEAD~1 | tar -x -C /tmp/parent
+#   make bench-pairs PARENT=/tmp/parent WORKLOAD=table3 SEEDS=411-420
+PARENT ?=
+CHANGE ?= .
+WORKLOAD ?= table3
+SEEDS ?= 411-420
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<parent tree> [WORKLOAD=...] [SEEDS=a-b]"; exit 2; }
+	python3 scripts/bench_pairs.py $(PARENT) $(CHANGE) --workload $(WORKLOAD) --seeds $(SEEDS)

@@ -7,11 +7,12 @@ quantized / approximate executors need, because the systolic MAC array of
 Section IV consumes one weight column per filter and streams activation
 patches through it.
 
-The gather indices depend only on the convolution geometry, so
-:func:`im2col_indices` memoizes them (LRU, keyed by the geometry tuple):
-repeated batches through the same layer — the common case in accuracy
-sweeps — pay the index construction once.  The cached arrays are returned
-read-only and shared between callers.
+:func:`im2col` unfolds with one contiguous copy of a read-only
+``as_strided`` window view of the (padded) input: no index arrays, no
+fancy-index gather.  The adjoint :func:`col2im` scatters through explicit
+``(rows, cols)`` indices; those depend only on the convolution geometry,
+so :func:`im2col_indices` memoizes them (LRU, keyed by the geometry
+tuple) and returns them read-only and shared between callers.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ def im2col_indices(
     stride: int,
     pad: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Row/column gather indices for im2col on a padded ``(H, W)`` plane.
+    """Row/column patch indices on a padded ``(H, W)`` plane (for :func:`col2im`).
 
     Returns ``(rows, cols, out_h, out_w)`` where ``rows`` and ``cols`` have
     shape ``(out_h * out_w, kernel_h * kernel_w)`` and index into the padded
-    input plane.  The index arrays are memoized per geometry and returned as
-    shared read-only views.
+    input plane; ``x[:, rows, cols, :]`` gathers the same patches
+    :func:`im2col` copies out of its window view.  The index arrays are
+    memoized per geometry and returned as shared read-only views.
     """
     return _cached_im2col_indices(
         int(height), int(width), int(kernel_h), int(kernel_w), int(stride), int(pad)
@@ -101,11 +103,20 @@ def im2col(
     (columns, out_h, out_w):
         ``columns`` has shape ``(batch * out_h * out_w, kernel_h * kernel_w *
         channels)`` with the tap ordering ``(kh, kw, channel)`` — matching the
-        filter reshape used by :class:`repro.nn.layers.Conv2D`.
+        filter reshape used by :class:`repro.nn.layers.Conv2D`.  It is always
+        a fresh C-contiguous array (never a view of ``x``, even for a 1x1,
+        stride-1, unpadded kernel), so callers may keep or modify it.
+
+    The patches are read through a read-only ``as_strided`` window view of
+    shape ``(batch, out_h, out_w, kernel_h, kernel_w, channels)`` over the
+    padded input and copied out once — the same elements, in the same
+    order, as gathering ``x[:, rows, cols, :]`` over :func:`im2col_indices`.
     """
     if x.ndim != 4:
         raise ValueError(f"expected NHWC input, got shape {x.shape}")
     batch, height, width, channels = x.shape
+    out_h = conv_output_size(height, kernel_h, stride, pad)
+    out_w = conv_output_size(width, kernel_w, stride, pad)
     if pad:
         x = np.pad(
             x,
@@ -113,13 +124,19 @@ def im2col(
             mode="constant",
             constant_values=pad_value,
         )
-    rows, cols, out_h, out_w = im2col_indices(
-        height, width, kernel_h, kernel_w, stride, pad
+    s_batch, s_row, s_col, s_chan = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, out_h, out_w, kernel_h, kernel_w, channels),
+        strides=(s_batch, s_row * stride, s_col * stride, s_row, s_col, s_chan),
+        writeable=False,
     )
-    # Gather: result (batch, patches, taps_spatial, channels)
-    patches = x[:, rows, cols, :]
-    columns = patches.reshape(batch * out_h * out_w, kernel_h * kernel_w * channels)
-    return columns, out_h, out_w
+    columns = windows.copy()
+    return (
+        columns.reshape(batch * out_h * out_w, kernel_h * kernel_w * channels),
+        out_h,
+        out_w,
+    )
 
 
 def col2im(

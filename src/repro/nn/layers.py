@@ -8,6 +8,24 @@ from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.nn.initializers import he_normal, zeros
 
 
+def _overwritable(x: np.ndarray, *operands) -> bool:
+    """Whether ``x`` can hold ``x (op) operands...`` bit-exactly in place.
+
+    True when ``x`` is a writeable float64 array, the elementwise result is
+    float64 of ``x``'s own shape (the operands broadcast onto ``x``, never
+    ``x`` onto them) and no operand views ``x``'s memory — then ``out=x``
+    runs the same ufunc loops, on the same values, as the allocating
+    expression.
+    """
+    return (
+        x.dtype == np.float64
+        and x.flags.writeable
+        and np.result_type(x, *operands) == np.float64
+        and np.broadcast_shapes(x.shape, *(np.shape(op) for op in operands)) == x.shape
+        and not any(np.may_share_memory(x, op) for op in operands)
+    )
+
+
 class Layer:
     """Base class of all layers.
 
@@ -272,7 +290,15 @@ class Dense(Layer):
 
 
 class BatchNorm(Layer):
-    """Batch normalization over the channel axis of NHWC (or feature axis of 2-D) inputs."""
+    """Batch normalization over the channel axis of NHWC (or feature axis of 2-D) inputs.
+
+    ``forward(x, inplace=True)`` (inference only) normalizes ``x`` itself
+    and returns it: subtract the running mean, multiply by ``1/std``, by
+    ``gamma``, add ``beta`` — the ufunc sequence of the allocating path,
+    so the result is bit-identical.  It is taken only when that is exact
+    (see :func:`_overwritable`); otherwise a fresh array is returned.  The
+    caller must own ``x`` and never read its old values again.
+    """
 
     def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
         self.channels = int(channels)
@@ -286,7 +312,9 @@ class BatchNorm(Layer):
         self.dbeta = np.zeros_like(self.beta)
         self._cache: dict | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, inplace: bool = False
+    ) -> np.ndarray:
         if x.shape[-1] != self.channels:
             raise ValueError(
                 f"{self.name or 'BatchNorm'}: expected {self.channels} channels, "
@@ -306,6 +334,16 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
+        if (
+            inplace
+            and not training
+            and _overwritable(x, mean, inv_std, self.gamma, self.beta)
+        ):
+            np.subtract(x, mean, out=x)
+            np.multiply(x, inv_std, out=x)
+            np.multiply(x, self.gamma, out=x)
+            np.add(x, self.beta, out=x)
+            return x
         x_hat = (x - mean) * inv_std
         if training:
             self._cache = {"x_hat": x_hat, "inv_std": inv_std, "axes": axes, "n": None}
@@ -340,12 +378,23 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    ``forward(x, inplace=True)`` (inference only) computes
+    ``np.multiply(x, x > 0, out=x)`` and returns ``x`` — the allocating
+    path's ``x * mask``, signed zeros included — when that is exact (see
+    :func:`_overwritable`); otherwise a fresh array is returned.  The
+    caller must own ``x`` and never read its old values again.
+    """
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, inplace: bool = False
+    ) -> np.ndarray:
+        if inplace and not training and _overwritable(x):
+            return np.multiply(x, x > 0, out=x)
         mask = x > 0
         if training:
             self._mask = mask
@@ -375,16 +424,31 @@ class _Pool2D(Layer):
 
 
 class MaxPool2D(_Pool2D):
-    """Non-overlapping max pooling (stride equals the pool size)."""
+    """Non-overlapping max pooling (stride equals the pool size).
+
+    Inference takes an elementwise ``np.maximum`` over the ``p * p``
+    strided slices ``x[:, i::p, j::p, :]`` (row-major window order) instead
+    of reducing a reshaped window view: equal values, NaN positions
+    included, without the reduction's strided inner loop.  Training keeps
+    the window reduction, whose view also builds the backward tie mask.
+    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         windows = self._windows(x)
+        if not training:
+            p = self.pool_size
+            taps = [x[:, i::p, j::p, :] for i in range(p) for j in range(p)]
+            if len(taps) == 1:
+                return taps[0].copy()
+            out = np.maximum(taps[0], taps[1])
+            for tap in taps[2:]:
+                np.maximum(out, tap, out=out)
+            return out
         out = windows.max(axis=(2, 4))
-        if training:
-            # Ties are resolved in backward by splitting the gradient evenly
-            # among the maximal elements of the window.
-            mask = windows == out[:, :, None, :, None, :]
-            self._cache = {"mask": mask, "x_shape": x.shape}
+        # Ties are resolved in backward by splitting the gradient evenly
+        # among the maximal elements of the window.
+        mask = windows == out[:, :, None, :, None, :]
+        self._cache = {"mask": mask, "x_shape": x.shape}
         return out
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -456,7 +520,14 @@ class Flatten(Layer):
 
 
 class Add(Layer):
-    """Elementwise sum of several inputs (residual connections)."""
+    """Elementwise sum of several inputs (residual connections).
+
+    ``forward(*inputs, inplace=True)`` (inference only) accumulates into
+    ``inputs[0]`` with ``np.add(out, extra, out=out)`` — the allocating
+    path's left-to-right sums — and returns it, when that is exact (see
+    :func:`_overwritable`); otherwise a fresh array is returned.  The
+    caller must own ``inputs[0]`` and never read its old values again.
+    """
 
     def __init__(self, n_inputs: int = 2):
         self._n = int(n_inputs)
@@ -465,10 +536,16 @@ class Add(Layer):
     def n_inputs(self) -> int:
         return self._n
 
-    def forward(self, *inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, *inputs: np.ndarray, training: bool = False, inplace: bool = False
+    ) -> np.ndarray:
         if len(inputs) != self._n:
             raise ValueError(f"Add expects {self._n} inputs, got {len(inputs)}")
         out = inputs[0]
+        if inplace and not training and _overwritable(out, *inputs[1:]):
+            for extra in inputs[1:]:
+                np.add(out, extra, out=out)
+            return out
         for extra in inputs[1:]:
             out = out + extra
         return out

@@ -42,7 +42,7 @@ from repro.runtime.fleet.pool import BackendDownError, BackendPool
 from repro.runtime.fleet.router import RoutingTable
 from repro.runtime.jobs.client import JobClientError
 from repro.runtime.jobs.queue import AdmissionError
-from repro.runtime.server import read_json_object
+from repro.runtime.server import REQUEST_TIMEOUT_S, RequestBodyError, read_json_object
 from repro.runtime.stats import STATS_SCHEMA
 
 
@@ -176,6 +176,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     server: GatewayServer
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
@@ -262,8 +263,8 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         server = self.server
         try:
             payload = read_json_object(self)
-        except ValueError as error:
-            self._send_error_json(400, str(error))
+        except RequestBodyError as error:
+            self._send_error_json(error.status, str(error))
             return
         # Resolve the model reference against the global routing table.
         try:

@@ -20,6 +20,7 @@ API (all JSON)::
                          -> 202 {"job": {...}}   (409-free: poll the job)
                          -> 400 bad model/plan payloads, or a negative
                                 or non-integer Content-Length
+                         -> 408 body not received within REQUEST_TIMEOUT_S
                          -> 404 unknown model
                          -> 429 {"reason": "queue_full" | "session_busy"}
     GET  /jobs/<id>      {"job": {id, state, accuracies, cache_hits, ...}}
@@ -44,14 +45,31 @@ from repro.runtime.jobs.queue import AdmissionError
 from repro.runtime.jobs.sessions import SessionError
 
 
+#: Seconds a request handler (daemon and gateway alike) waits on its
+#: client socket — request line, headers or body — before giving up, so a
+#: client that declares more ``Content-Length`` than it sends cannot pin a
+#: handler thread.  Applied per connection as the handler's ``timeout``.
+REQUEST_TIMEOUT_S = 30.0
+
+
+class RequestBodyError(ValueError):
+    """A POST body that could not be read or parsed; ``status`` is the reply code."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
 def read_json_object(handler: BaseHTTPRequestHandler) -> dict:
     """The request body of ``handler`` as a JSON object.
 
-    Raises :class:`ValueError` carrying the message of the 400 reply.  A
-    negative or non-integer ``Content-Length`` is rejected before any
-    read — ``rfile.read(-1)`` would block the handler thread until the
-    client half-closes — and the connection is closed after the reply,
-    since the unread body must not be parsed as the next request.
+    Raises :class:`RequestBodyError` carrying the status and message of the
+    error reply.  A negative or non-integer ``Content-Length`` is rejected
+    with 400 before any read — ``rfile.read(-1)`` would block the handler
+    thread until the client half-closes.  A body that does not arrive
+    within the handler's socket ``timeout`` is answered with 408.  Both
+    close the connection after the reply, since an unread (or partly read)
+    body must not be parsed as the next request.
     """
     raw = handler.headers.get("Content-Length", "0")
     try:
@@ -60,13 +78,24 @@ def read_json_object(handler: BaseHTTPRequestHandler) -> dict:
         length = -1
     if length < 0:
         handler.close_connection = True
-        raise ValueError(f"Content-Length must be a non-negative integer, got {raw!r}")
+        raise RequestBodyError(
+            f"Content-Length must be a non-negative integer, got {raw!r}"
+        )
     try:
-        payload = json.loads(handler.rfile.read(length).decode("utf-8"))
+        body = handler.rfile.read(length)
+    except TimeoutError:
+        handler.close_connection = True
+        raise RequestBodyError(
+            f"request body of {length} bytes not received within "
+            f"{handler.timeout} s",
+            status=408,
+        ) from None
+    try:
+        payload = json.loads(body.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise ValueError(f"request body is not valid JSON: {error}") from None
+        raise RequestBodyError(f"request body is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
-        raise ValueError("request body must be a JSON object")
+        raise RequestBodyError("request body must be a JSON object")
     return payload
 
 
@@ -103,6 +132,7 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
 
     server: JobServer
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     # Quiet by default: a polling client would flood stderr with one log
     # line per request.
@@ -170,8 +200,8 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         manager = self.server.manager
         try:
             payload = read_json_object(self)
-        except ValueError as error:
-            self._send_error_json(400, str(error))
+        except RequestBodyError as error:
+            self._send_error_json(error.status, str(error))
             return
         # Resolve the model reference: explicit index or name (+ dataset).
         if "model_index" in payload:

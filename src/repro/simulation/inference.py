@@ -110,9 +110,9 @@ from repro.core.product_kernels import (
     ProductKernel,
 )
 from repro.multipliers.base import Multiplier
-from repro.nn.graph import Graph
+from repro.nn.graph import Graph, GraphNode
 from repro.nn.im2col import im2col
-from repro.nn.layers import Conv2D, Dense
+from repro.nn.layers import Add, BatchNorm, Conv2D, Dense, ReLU
 from repro.quantization.qlayers import QuantizedLinearOp
 from repro.quantization.quantize import calibrate_minmax, calibrate_percentile, quantize
 from repro.quantization.schemes import QuantParams
@@ -378,6 +378,9 @@ class _PlanContext:
     checkpoint_macs: dict[str, int]
 
 
+#: Non-MAC layers whose ``forward`` takes ``inplace=True``.
+_INPLACE_LAYERS = (BatchNorm, ReLU, Add)
+
 #: Row budget of one stacked suffix launch (images per chunk scale as
 #: target // lines).  Tuned empirically on the fused sweep bench (128 and
 #: 256 tie, 512 and 1024 are slower): far below it the chunked walk
@@ -469,6 +472,15 @@ class ApproximateExecutor:
         self.act_cache_batches = int(act_cache_batches)
         mac_nodes = model.conv_dense_nodes()
         self._first_mac_name = mac_nodes[0].name if mac_nodes else None
+        # Index of the last node consuming each activation name: the one
+        # liveness table.  A walk may overwrite an array it owns in place
+        # only at that node, and a name is live from node i on while its
+        # last use is at or after i.
+        self._last_use: dict[str, int] = {
+            name: index
+            for index, node in enumerate(model.nodes)
+            for name in node.inputs
+        }
         self._act_cache: dict[tuple[str, int], list[tuple[tuple, np.ndarray]]] = {}
         self.act_cache_hits = 0
         self.act_cache_misses = 0
@@ -783,35 +795,81 @@ class ApproximateExecutor:
         prefix cache under ``(token, fingerprint prefix)``.
         """
         pending = list(checkpoints) if checkpoints else []
+        owned: set[str] = set()
         for index, node in enumerate(self.model.nodes[start_index:], start=start_index):
             while pending and pending[0][0] == index:
-                self._store_checkpoint(activations, pending.pop(0), token)
-            inputs = [activations[name] for name in node.inputs]
+                self._store_checkpoint(activations, pending.pop(0), token, owned)
             if node.name in self._nodes:
                 activations[node.name] = self._run_mac_node(
-                    node.name, node.layer, inputs[0], plan.model_for(node.name)
+                    node.name,
+                    node.layer,
+                    activations[node.inputs[0]],
+                    plan.model_for(node.name),
                 )
+                owned.add(node.name)
             else:
-                activations[node.name] = node.layer.forward(*inputs, training=False)
+                self._run_nonmac(node, index, activations, owned)
         while pending:  # checkpoints at the very end of the network
-            self._store_checkpoint(activations, pending.pop(0), token)
+            self._store_checkpoint(activations, pending.pop(0), token, owned)
         return activations[self.model.output_name]
+
+    def _run_nonmac(
+        self,
+        node: GraphNode,
+        index: int,
+        activations: dict[str, np.ndarray],
+        owned: set[str],
+    ) -> None:
+        """Run the non-MAC ``node`` (at node ``index``) of a forward walk.
+
+        ``owned`` names the activations the walk owns: arrays it produced
+        itself — MAC outputs, and in-place results on them — that are
+        neither the caller's images, nor resumed from or stored in a prefix
+        checkpoint, nor viewed by another live activation.  A BatchNorm,
+        ReLU or Add whose first input is owned, has its last use here and
+        appears once among the inputs overwrites it in place (through the
+        layer's own ``forward``, bit-identical to the allocating path), and
+        its output is owned in turn.  An output that views an owned input
+        (a reshape, say) revokes that input's ownership.
+        """
+        inputs = [activations[name] for name in node.inputs]
+        first = node.inputs[0]
+        if (
+            isinstance(node.layer, _INPLACE_LAYERS)
+            and first in owned
+            and self._last_use[first] == index
+            and node.inputs.count(first) == 1
+        ):
+            activations[node.name] = node.layer.forward(
+                *inputs, training=False, inplace=True
+            )
+            owned.add(node.name)
+            return
+        out = node.layer.forward(*inputs, training=False)
+        activations[node.name] = out
+        for name, arr in zip(node.inputs, inputs):
+            if name in owned and np.may_share_memory(out, arr):
+                owned.discard(name)
 
     def _store_checkpoint(
         self,
         activations: dict[str, np.ndarray],
         checkpoint: tuple[int, int, tuple, tuple],
         token: tuple,
+        owned: set[str],
     ) -> None:
         if self._suppress_prefix_stores:
             return
         _, depth, fp_prefix, needed = checkpoint
-        # The boundary holds *references*, not copies.  This is safe because
-        # every Layer.forward and ProductKernel allocates a fresh output
-        # array per call (nothing upstream reuses a persistent output
-        # buffer), and it is what lets the activation-code cache recognize
-        # a resumed boundary array by identity.  If a prefix layer ever
-        # gains a persistent output buffer, these entries must copy.
+        # The boundary holds *references*, not copies, which is what lets
+        # the activation-code cache recognize a resumed boundary array by
+        # identity.  Two invariants keep this safe.  Every ProductKernel
+        # and every allocating Layer.forward returns a fresh array per call
+        # (nothing reuses a persistent output buffer).  And a walk only
+        # overwrites arrays it owns (see _run_nonmac): storing a name here
+        # revokes its ownership, so a checkpointed array is never modified
+        # again, and resumed checkpoint arrays start out unowned.
+        owned.difference_update(needed)
         boundary = {name: activations[name] for name in needed}
         entries = self._prefix_cache.setdefault(depth, [])
         entries.insert(0, (token, fp_prefix, boundary))
@@ -1013,10 +1071,11 @@ class ApproximateExecutor:
             if depth is not None and depth in splits:
                 split_index = index
                 break
+        owned: set[str] = set()
         for index in range(start_index, split_index):
             node = nodes[index]
             while pending and pending[0][0] == index:
-                self._store_checkpoint(activations, pending.pop(0), token)
+                self._store_checkpoint(activations, pending.pop(0), token, owned)
             depth = mac_depth.get(node.name)
             if depth is not None:
                 activations[node.name] = self._run_mac_node(
@@ -1025,11 +1084,11 @@ class ApproximateExecutor:
                     activations[node.inputs[0]],
                     line_plans[0].model_for(node.name),
                 )
+                owned.add(node.name)
             else:
-                inputs = [activations[name] for name in node.inputs]
-                activations[node.name] = node.layer.forward(*inputs, training=False)
+                self._run_nonmac(node, index, activations, owned)
         while pending:  # boundaries at or before the first splitting MAC
-            self._store_checkpoint(activations, pending.pop(0), token)
+            self._store_checkpoint(activations, pending.pop(0), token, owned)
         if split_index >= len(nodes):  # pragma: no cover - lines must differ
             out = activations[self.model.output_name]
             return np.concatenate([out] * num_lines, axis=0)
@@ -1072,11 +1131,13 @@ class ApproximateExecutor:
     ) -> np.ndarray:
         """Stacked walk from the first splitting MAC to the output.
 
-        ``activations`` holds single-block arrays of ``batch`` rows;
-        returns the ``(lines * batch, ...)`` line-major output stack."""
+        ``activations`` holds single-block arrays of ``batch`` rows (phase-1
+        arrays or views of them, never owned by this walk); returns the
+        ``(lines * batch, ...)`` line-major output stack."""
         num_lines = len(line_plans)
         runs: list[tuple[int, int]] = [(0, num_lines)]
         nodes = self.model.nodes
+        owned: set[str] = set()
         for index in range(start_index, len(nodes)):
             node = nodes[index]
             depth = mac_depth.get(node.name)
@@ -1119,16 +1180,15 @@ class ApproximateExecutor:
                     activations[node.name] = self._run_mac_node_multi(
                         node.name, node.layer, x, models, shared_split
                     )
+                owned.add(node.name)
             else:
-                inputs = [activations[name] for name in node.inputs]
-                activations[node.name] = node.layer.forward(*inputs, training=False)
+                self._run_nonmac(node, index, activations, owned)
         return activations[self.model.output_name]
 
     def _names_needed_from(self, index: int) -> set[str]:
         """Activation names any node from ``index`` on still consumes."""
-        needed = {self.model.output_name}
-        for node in self.model.nodes[index:]:
-            needed.update(node.inputs)
+        needed = {name for name, last in self._last_use.items() if last >= index}
+        needed.add(self.model.output_name)
         return needed
 
     def logits_many(
@@ -1313,8 +1373,8 @@ class ApproximateExecutor:
             # Quantize once on the compact NHWC input, then unfold the uint8
             # codes (padding with the zero-point code, i.e. quantize(0)) —
             # elementwise identical to unfold-then-quantize, but the im2col
-            # gather duplicates every pixel ~k^2 times, so this quantizes up
-            # to k^2 x less data and gathers uint8 instead of float64.
+            # unfold duplicates every pixel ~k^2 times, so this quantizes up
+            # to k^2 x less data and copies uint8 instead of float64.
             codes = self._quantize_acts(qnode, -1, x)
             pad_code = int(np.clip(qnode.act_params.zero_point, 0, 255))
             for g in range(layer.groups):

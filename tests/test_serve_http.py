@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -37,7 +38,7 @@ from repro.runtime.jobs import (
     encode_plans,
     sweep_over_jobs,
 )
-from repro.runtime.server import JobServer
+from repro.runtime.server import REQUEST_TIMEOUT_S, JobServer
 from repro.simulation.campaign import TrainedModel, parallel_sweep
 from repro.simulation.inference import AccurateProduct, ExecutionPlan, PerforatedProduct
 
@@ -87,6 +88,26 @@ def _raw_post_jobs(url: str, content_length: str) -> tuple[int, dict]:
         reply = sock.makefile("rb").read()
     head, _, body = reply.partition(b"\r\n\r\n")
     return int(head.split()[1]), json.loads(body)
+
+
+def _short_body_post(url: str, declared: int = 100, sent: int = 10) -> tuple[bytes, float]:
+    """POST /jobs declaring ``declared`` body bytes but sending only ``sent``.
+
+    The client then waits without closing its write side, as a stalled
+    client would; returns the raw reply (read up to the server's close)
+    and the seconds it took.
+    """
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    start = time.monotonic()
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {declared}\r\n\r\n".encode()
+            + b"{" * sent
+        )
+        reply = sock.makefile("rb").read()
+    return reply, time.monotonic() - start
 
 
 class TestEndpoints:
@@ -165,6 +186,17 @@ class TestEndpoints:
         assert status == 400
         assert "Content-Length" in body["error"]
         assert client.healthz()["status"] == "ok"  # the daemon keeps serving
+
+    def test_short_body_is_408_within_the_handler_timeout(self, server, client, monkeypatch):
+        assert server.RequestHandlerClass.timeout == REQUEST_TIMEOUT_S
+        monkeypatch.setattr(server.RequestHandlerClass, "timeout", 0.5)
+        reply, elapsed = _short_body_post(server.url)
+        assert elapsed < 5.0  # not pinned until the client gives up
+        if reply:  # a 408 reply, then the server closes the connection
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"408"
+            assert "not received" in json.loads(body)["error"]
+        assert client.healthz()["status"] == "ok"
 
     def test_empty_plans_is_400(self, server):
         request = urllib.request.Request(
