@@ -16,7 +16,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -W error::pytest.PytestUnknownMarkWarning
 
-.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke perfbench-smoke verify-results bench-refresh bench-pairs
+.PHONY: check tier1 engine kernels dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke perfbench-smoke verify-results bench-refresh bench-pairs
 
 # verify-results runs LAST so it judges the bench ledger the engine/dse/
 # serve targets just rewrote, not a stale one.
@@ -27,6 +27,14 @@ tier1:
 
 engine:
 	$(PYTEST) -q -m engine tests benchmarks/bench_engine_throughput.py benchmarks/bench_sweep_prefix.py
+
+# Kernel parity subset: every product kernel (accurate, perforated, one-hot
+# and bit-plane LUT) against the reference product sums, the fused
+# multi-plan kernel, the engine backends and the bit-plane property tests —
+# about ten seconds, the first thing to reach for when touching a kernel.
+kernels:
+	$(PYTEST) -q -m engine tests/test_engine_kernels.py tests/test_fused_multi_plan.py \
+	  tests/test_engine_backends.py tests/test_lut_bit_planes.py
 
 # DSE search suite plus its evaluations-to-front benchmark.
 dse:

@@ -457,7 +457,8 @@ def register(sub) -> None:
         default=0,
         metavar="N",
         help="add the N cheapest approximate-library multipliers as per-layer "
-        "LUT candidates (slower to simulate)",
+        "LUT candidates (each runs as one dense product per activation-bit "
+        "group of its table)",
     )
     dse.add_argument("--max-eval-images", type=int, default=None)
     dse.add_argument(

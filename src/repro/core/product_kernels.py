@@ -7,9 +7,25 @@ built **once** per (layer, execution plan) by ``ProductModel.compile`` and
 then evaluated on every activation batch, so all weight-dependent work is
 hoisted out of the hot loop.
 
-The LUT kernel is the important one.  For an arbitrary 256x256 multiplier
-table the legacy path materializes a ``(patches, taps, filters)`` gather per
-chunk.  The compiled kernel instead decomposes the table as
+The LUT kernel is the important one, and it compiles a table to one of two
+forms.  Most approximate multipliers — truncated, perforated, constant-
+compensated, and the "evolved" tables that drop partial-product bits — are
+*affine in the activation's bits* for every weight.  Such a table has the
+**bit-plane form**
+
+    lut[w, a] = l0[w] + sum_k H_k[w] * (a & mask_k)
+
+with at most eight disjoint activation-bit groups ``mask_k``: bit ``c`` joins
+group ``k`` when ``lut[:, 2^c] - l0 == 2^c * H_k`` for a shared ``H_k``.
+:func:`bit_planes` finds that form and checks it on all 65,536 entries, and
+the kernel then evaluates
+
+    sums[p, f] = sum_k (act & mask_k)[p, :] @ H_k[w[:, f]] + sum_j l0[w[j, f]]
+
+as ``k`` dense BLAS products (one for the exact multiplier, which is the
+single group ``mask = 0xFF, H = w``) plus a per-filter constant.
+
+A table without that structure keeps the **one-hot form**
 
     lut[w, a] = w * a - err[w, a]
 
@@ -23,7 +39,9 @@ precompiled ``(taps * 256, filters)`` error matrix::
 
 The one-hot matrix has exactly ``taps`` ones per row, so the product is
 evaluated through a scipy CSR matrix when scipy is available, or through a
-per-tap gather loop otherwise — either way the 3-D gather is gone.
+per-tap gather loop otherwise — either way the 3-D gather is gone.  Its cost
+is bound by row gathers from an error matrix that does not fit in cache; on
+vgg13 it ran about 20x slower per MAC than the bit-plane form.
 
 All integer matrix products are executed in float32/float64 BLAS: every
 partial product and every partial sum is an integer bounded by
@@ -31,10 +49,12 @@ partial product and every partial sum is an integer bounded by
 and the results are bit-identical to the int64 reference paths (enforced by
 the ``pytest -m engine`` parity suite).  Accurate and perforated kernels
 cast their sums back to int64, the dtype of the reference functions.  LUT
-kernels stay in float64 end to end: the error matrix is stored as float64
-(``|err| <= 255 * 255``, so every entry and every sum is exact), the dense
-and error sums are combined in float64, and the result is returned in the
-dtype the dequantization epilogue consumes — with no int64 round trip.
+kernels stay in float64 end to end, and the result is returned in the dtype
+the dequantization epilogue consumes — with no int64 round trip.  The
+one-hot error matrix is stored as float64 (``|err| <= 255 * 255``, so every
+entry and every sum is exact).  A bit-plane group takes float32 sgemm only
+when ``255 * max_f sum_j |H_k[w[j, f]]| < 2^24``, and float64 otherwise; a
+layer whose sums could reach 2^53 keeps the one-hot form.
 """
 
 from __future__ import annotations
@@ -45,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.control_variate import ControlVariate
-from repro.multipliers.base import OPERAND_LEVELS
+from repro.multipliers.base import OPERAND_BITS, OPERAND_LEVELS
 
 try:  # pragma: no cover - exercised indirectly via LUTKernel paths
     from scipy import sparse as _sparse
@@ -88,27 +108,34 @@ _F32_EXACT_BOUND = 1 << 24
 class _WeightOperand:
     """A weight matrix prepared for exact floating-point BLAS products.
 
-    Stores the float64 copy of the ``(taps, filters)`` weights and, when
-    every possible product sum of 8-bit activations against them fits below
-    2^24 (``255 * max_f sum_j w[j, f] < 2^24``), a float32 copy as well —
-    float32 sgemm is about twice as fast as dgemm and still bit-exact in
-    that regime, because every partial sum is a non-negative integer below
-    the float32 exact-integer limit.
+    When every possible product sum of 8-bit activations against the
+    weights fits below 2^24 (``255 * max_f sum_j w[j, f] < 2^24``), the
+    operand keeps a float32 copy — float32 sgemm is about twice as fast as
+    dgemm and still bit-exact in that regime, because every partial sum is
+    an integer below the float32 exact-integer limit.  The float64 copy is
+    then only built on the first product against wider-than-uint8
+    activations.  Otherwise the operand is a float64 copy alone.
+
+    ``signed=True`` admits any integer weights, bounding the float32 case by
+    absolute column sums (``255 * max_f sum_j |w[j, f]| < 2^24``), as the
+    bit-plane LUT slopes need.  By default the bound argument requires
+    genuine 8-bit codes.
     """
 
-    def __init__(self, w: np.ndarray):
-        self._f64 = w.astype(np.float64)
+    def __init__(self, w: np.ndarray, signed: bool = False):
         w64 = w.astype(np.int64)
-        # The bound argument requires genuine 8-bit codes: signed or
-        # out-of-range weights could overflow float32 partial products even
-        # with a small column sum, so they disqualify the f32 copy entirely.
-        is_8bit = w64.size == 0 or (w64.min() >= 0 and w64.max() < OPERAND_LEVELS)
-        max_col_sum = int(w64.sum(axis=0).max()) if w64.size else 0
-        self._f32 = (
-            w.astype(np.float32)
-            if is_8bit and 255 * max_col_sum < _F32_EXACT_BOUND
-            else None
+        # Unless ``signed``, signed or out-of-range weights disqualify the
+        # f32 copy entirely, as the 8-bit bound argument requires.
+        eligible = signed or w64.size == 0 or (
+            w64.min() >= 0 and w64.max() < OPERAND_LEVELS
         )
+        max_col_sum = int(np.abs(w64).sum(axis=0).max()) if w64.size else 0
+        if eligible and 255 * max_col_sum < _F32_EXACT_BOUND:
+            self._f32: np.ndarray | None = w64.astype(np.float32)
+            self._f64: np.ndarray | None = None
+        else:
+            self._f32 = None
+            self._f64 = w64.astype(np.float64)
 
     def matmul(self, lhs: np.ndarray, dtype=np.int64) -> np.ndarray:
         """Exact ``lhs @ w`` as ``dtype`` (int64 or float64) for
@@ -124,6 +151,9 @@ class _WeightOperand:
         if self._f32 is not None and lhs.dtype == np.uint8:
             sums = lhs.astype(np.float32) @ self._f32
         else:
+            if self._f64 is None:
+                # Every float32 entry is an exact integer below 2^24.
+                self._f64 = self._f32.astype(np.float64)
             sums = lhs.astype(np.float64) @ self._f64
         return sums.astype(dtype, copy=False)
 
@@ -221,14 +251,83 @@ class PerforatedKernel(ProductKernel):
         return sums.astype(np.float64) + correction
 
 
+@dataclass(frozen=True)
+class BitPlanes:
+    """A 256x256 table in bit-plane form (see the module docstring).
+
+    ``lut[w, a] = offset[w] + sum_k slopes[k, w] * (a & masks[k])`` with
+    disjoint, non-empty activation-bit ``masks``.
+    """
+
+    offset: np.ndarray
+    masks: tuple[int, ...]
+    slopes: np.ndarray
+
+    @property
+    def groups(self) -> int:
+        """Number of dense products the bit-plane kernel evaluates."""
+        return len(self.masks)
+
+
+def bit_planes(lut: np.ndarray) -> BitPlanes | None:
+    """The bit-plane form of a 256x256 table, or None when it has none.
+
+    Activation bit ``c`` joins group ``k`` when ``lut[:, 2^c] - lut[:, 0]``
+    equals ``2^c * H_k`` for a shared integer ``H_k``; bits that never
+    change the product join no group.  The form is accepted only when it
+    reproduces all 65,536 entries.
+    """
+    lut = np.asarray(lut, dtype=np.int64)
+    if lut.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
+        raise ValueError(f"lut must have shape (256, 256), got {lut.shape}")
+    offset = lut[:, 0].copy()
+    masks: list[int] = []
+    slopes: list[np.ndarray] = []
+    for bit in range(OPERAND_BITS):
+        step = lut[:, 1 << bit] - offset
+        if not step.any():
+            continue
+        # A step not divisible by 2^bit fails the rebuild check below.
+        slope = step >> bit
+        for k, other in enumerate(slopes):
+            if np.array_equal(other, slope):
+                masks[k] |= 1 << bit
+                break
+        else:
+            masks.append(1 << bit)
+            slopes.append(slope)
+    levels = np.arange(OPERAND_LEVELS, dtype=np.int64)
+    rebuilt = np.repeat(offset[:, None], OPERAND_LEVELS, axis=1)
+    for mask, slope in zip(masks, slopes):
+        rebuilt += slope[:, None] * (levels & mask)[None, :]
+    if not np.array_equal(rebuilt, lut):
+        return None
+    return BitPlanes(
+        offset=offset,
+        masks=tuple(masks),
+        slopes=np.array(slopes, dtype=np.int64).reshape(len(masks), OPERAND_LEVELS),
+    )
+
+
+#: Bound below which every float64 partial sum of a bit-plane kernel is an
+#: exact integer.
+_F64_EXACT_BOUND = float(1 << 53)
+
+#: ``planes`` default of :class:`LUTKernel`: decompose the table itself.
+_DECOMPOSE = object()
+
+
 class LUTKernel(ProductKernel):
     """Compiled product sums for an arbitrary 256x256 multiplier LUT.
 
-    The table is decomposed as ``lut[w, a] = w * a - err[w, a]`` (see the
-    module docstring); an exact multiplier therefore compiles down to the
-    plain matmul with no error term at all.  Sums are returned as float64
-    (exact integers) on every path: compiled sparse product, no-scipy
-    per-tap gather and low-memory streaming.
+    A table with a bit-plane form compiles to one dense product per group
+    plus a per-filter constant; any other table to the ``exact - err``
+    one-hot form (see the module docstring).  ``planes`` passes a
+    decomposition already made by :func:`bit_planes` — ``LUTProduct``
+    decomposes its table once for all its layers; by default the kernel
+    decomposes the table itself.  Sums are returned as float64 (exact
+    integers) on every path: bit-plane products, compiled sparse product,
+    no-scipy per-tap gather and low-memory streaming.
     """
 
     def __init__(
@@ -236,6 +335,7 @@ class LUTKernel(ProductKernel):
         weight_codes: np.ndarray,
         lut: np.ndarray,
         max_error_matrix_bytes: int = DEFAULT_MAX_ERROR_MATRIX_BYTES,
+        planes=_DECOMPOSE,
     ):
         lut = np.asarray(lut, dtype=np.int64)
         if lut.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
@@ -244,18 +344,22 @@ class LUTKernel(ProductKernel):
         if w.size and (w.min() < 0 or w.max() >= OPERAND_LEVELS):
             raise ValueError(f"weight codes out of range [0, {OPERAND_LEVELS - 1}]")
         super().__init__(*w.shape)
-        self._w_op = _WeightOperand(w)
-        levels = np.arange(OPERAND_LEVELS, dtype=np.int64)
-        err_table = (levels[:, None] * levels[None, :] - lut).astype(np.float64)
-        # _err_table/_w are only needed by the low-memory per-batch fallback;
-        # on the exact and fully-compiled paths they are dropped below.
+        if planes is _DECOMPOSE:
+            planes = bit_planes(lut)
+        # _err_table/_w are only needed by the low-memory per-batch fallback.
         self._err_table: np.ndarray | None = None
         self._w: np.ndarray | None = None
         self._error_matrix: np.ndarray | None = None
         self._tap_offsets: np.ndarray | None = None
-        self._exact = not err_table.any()
-        if self._exact:
+        self._planes: list[tuple[int, _WeightOperand]] | None = None
+        self._offset_sums: np.ndarray | None = None
+        self._w_op: _WeightOperand | None = None
+        self._exact = False
+        if planes is not None and self._compile_bit_planes(w, planes):
             return
+        self._w_op = _WeightOperand(w)
+        levels = np.arange(OPERAND_LEVELS, dtype=np.int64)
+        err_table = (levels[:, None] * levels[None, :] - lut).astype(np.float64)
         matrix_bytes = self.taps * OPERAND_LEVELS * self.filters * 8
         if matrix_bytes > max_error_matrix_bytes:
             # Low-memory mode: per-tap gather against the raw table.
@@ -274,10 +378,42 @@ class LUTKernel(ProductKernel):
         self._tap_offsets = np.arange(self.taps, dtype=np.int64) * OPERAND_LEVELS
         self._ones = np.empty(0, dtype=np.int8)
 
+    def _compile_bit_planes(self, w: np.ndarray, planes: BitPlanes) -> bool:
+        """Bind the bit-plane groups to ``w``; False when a sum could reach
+        2^53, where float64 accumulation would stop being exact."""
+        slopes = [slope[w] for slope in planes.slopes]
+        offsets = planes.offset[w]
+        bound = np.abs(offsets).sum(axis=0, dtype=np.float64)
+        for h in slopes:
+            bound += 255.0 * np.abs(h).sum(axis=0, dtype=np.float64)
+        if w.size and bound.max() >= _F64_EXACT_BOUND:
+            return False
+        self._planes = [
+            (mask, _WeightOperand(h, signed=True))
+            for mask, h in zip(planes.masks, slopes)
+        ]
+        if offsets.any():
+            self._offset_sums = offsets.sum(axis=0).astype(np.float64)
+        self._exact = (
+            self._offset_sums is None
+            and planes.masks == (OPERAND_LEVELS - 1,)
+            and np.array_equal(slopes[0], w)
+        )
+        if self._exact:
+            self._w_op = self._planes[0][1]
+        return True
+
     @property
     def is_exact(self) -> bool:
-        """True when the LUT is the exact multiplier (no error term compiled)."""
+        """True when the LUT is the exact multiplier on these weights: one
+        full-width group whose slopes are the weights themselves."""
         return self._exact
+
+    @property
+    def is_bit_plane(self) -> bool:
+        """True when the table compiled to bit-plane products (no error
+        matrix and no one-hot product)."""
+        return self._planes is not None
 
     def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
         act = self._check_acts(act_codes)
@@ -285,13 +421,30 @@ class LUTKernel(ProductKernel):
             act.min() < 0 or act.max() >= OPERAND_LEVELS
         ):
             raise ValueError(f"activation codes out of range [0, {OPERAND_LEVELS - 1}]")
+        if self._planes is not None:
+            return self._bit_plane_sums(act)
         sums = self._w_op.matmul(act, dtype=np.float64)
-        if self._exact:
-            return sums
         if self._error_matrix is not None:
             sums -= self._error_sums_compiled(act)
         else:
             sums -= self._error_sums_lowmem(act)
+        return sums
+
+    def _bit_plane_sums(self, act: np.ndarray) -> np.ndarray:
+        # Masks fit any 8-bit operand dtype, so uint8 codes stay uint8 and
+        # keep the float32 path of every group that qualifies for it.
+        sums: np.ndarray | None = None
+        for mask, op in self._planes:
+            lhs = act if mask == OPERAND_LEVELS - 1 else act & mask
+            part = op.matmul(lhs, dtype=np.float64)
+            if sums is None:
+                sums = part
+            else:
+                sums += part
+        if sums is None:
+            sums = np.zeros((act.shape[0], self.filters), dtype=np.float64)
+        if self._offset_sums is not None:
+            sums += self._offset_sums
         return sums
 
     # ------------------------------------------------------------------
@@ -375,6 +528,12 @@ class CallbackKernel(ProductKernel):
         )
 
 
+#: :class:`MultiPlanKernel` block kinds evaluated through their own kernel:
+#: bit-plane LUTs are already dense BLAS products, and fallbacks are kernel
+#: types the fusion does not understand.
+_PER_BLOCK_KINDS = ("bitplane", "fallback")
+
+
 class MultiPlanKernel:
     """P per-plan kernels of one layer, fused into one batched launch.
 
@@ -383,9 +542,10 @@ class MultiPlanKernel:
     those P launches into one: the per-plan ``exact - err`` decompositions
     are *stacked along the patch axis*, so the dense parts become a single
     ``(P*N, taps)``-shaped BLAS product against the shared weight operand
-    and the LUT error parts become one block-stacked one-hot sparse product
-    (block p's one-hot columns are offset into its own copy of the error
-    matrix).  Two input conventions are supported:
+    and the one-hot LUT error parts become one block-stacked one-hot sparse
+    product (block p's one-hot columns are offset into its own copy of the
+    error matrix).  Bit-plane LUT blocks are already dense BLAS products;
+    each runs through its own kernel.  Two input conventions are supported:
 
     * ``shared=False`` — ``act_codes`` is the ``(P*N, taps)`` stack of P
       per-plan activation blocks (plans already diverged upstream);
@@ -402,9 +562,10 @@ class MultiPlanKernel:
     ``kernels[p](act_block_p)``.  The executor hands this array to
     :meth:`QuantizedLinearOp.output_real_stacked` (or ``output_real``) with
     ``overwrite_product_sum=True``, which dequantizes it in place.
-    Kernel types the fusion does not understand (chunked, callback,
-    streaming low-memory LUTs) are evaluated per block through their own
-    kernel, so fusion never changes results, only launch count.
+    Bit-plane LUTs and the kernel types the fusion does not understand
+    (chunked, callback, streaming low-memory LUTs) are evaluated per block
+    through their own kernel, so fusion never changes results, only launch
+    count.
 
     All kernels must be compiled against the same weight codes; the shared
     weight operand is borrowed from the first fusable kernel.
@@ -434,13 +595,15 @@ class MultiPlanKernel:
                 kind = "exact"
             elif isinstance(kernel, LUTKernel) and kernel.is_exact:
                 kind = "exact"
+            elif isinstance(kernel, LUTKernel) and kernel.is_bit_plane:
+                kind = "bitplane"
             elif isinstance(kernel, LUTKernel) and kernel._error_matrix is not None:
                 kind = "lut"
             elif isinstance(kernel, PerforatedKernel):
                 kind = "perf"
             else:
                 kind = "fallback"
-            if kind != "fallback" and self._w_op is None:
+            if kind not in _PER_BLOCK_KINDS and self._w_op is None:
                 self._w_op = kernel._w_op
             self._kinds.append(kind)
         self._lut_blocks = [i for i, k in enumerate(self._kinds) if k == "lut"]
@@ -506,7 +669,9 @@ class MultiPlanKernel:
         n = act.shape[0] // self.plans
         out = np.empty((self.plans * n, self.filters), dtype=np.float64)
         blocks = [act[p * n : (p + 1) * n] for p in range(self.plans)]
-        dense_blocks = [p for p, k in enumerate(self._kinds) if k != "fallback"]
+        dense_blocks = [
+            p for p, k in enumerate(self._kinds) if k not in _PER_BLOCK_KINDS
+        ]
         if dense_blocks:
             # One (D*N, taps) dense product: perforated blocks contribute
             # their masked activations, exact/LUT blocks contribute as-is.
@@ -539,8 +704,8 @@ class MultiPlanKernel:
         if self._lut_blocks:
             self._subtract_errors(out, n, blocks)
         for p, kind in enumerate(self._kinds):
-            if kind == "fallback":
-                out[p * n : (p + 1) * n] = self.kernels[p](blocks[p])
+            if kind in _PER_BLOCK_KINDS:
+                out[p * n : (p + 1) * n] = self._own_sums(p, blocks[p])
         return out
 
     def _sums_shared(self, act: np.ndarray) -> np.ndarray:
@@ -571,8 +736,8 @@ class MultiPlanKernel:
                 for row, mask in enumerate(distinct_masks)
             }
         for p, kind in enumerate(self._kinds):
-            if kind == "fallback":
-                out[p * n : (p + 1) * n] = self.kernels[p](act)
+            if kind in _PER_BLOCK_KINDS:
+                out[p * n : (p + 1) * n] = self._own_sums(p, act)
                 continue
             if kind == "perf" and self.kernels[p]._mask:
                 sums = masked[self.kernels[p]._mask]
@@ -589,6 +754,15 @@ class MultiPlanKernel:
         if self._lut_blocks:
             self._subtract_errors(out, n, [act] * self.plans)
         return out
+
+    def _own_sums(self, p: int, act_block: np.ndarray) -> np.ndarray:
+        """Block ``p`` evaluated by its own kernel.  A bit-plane LUT runs its
+        body rather than its public ``product_sums``, so a fused launch stays
+        one ``product_sums_multi`` stage for profilers that wrap both."""
+        kernel = self.kernels[p]
+        if self._kinds[p] == "bitplane":
+            return kernel._bit_plane_sums(act_block)
+        return kernel(act_block)
 
     def _finish_block(
         self,
@@ -650,6 +824,8 @@ class MultiPlanKernel:
 
 __all__ = [
     "DEFAULT_MAX_ERROR_MATRIX_BYTES",
+    "BitPlanes",
+    "bit_planes",
     "KernelOptions",
     "ProductKernel",
     "AccurateKernel",

@@ -2,12 +2,16 @@
 
 The runtime's scheduler historically split a batch into equal cell-*count*
 chunks, which implicitly assumes every cell costs the same.  It does not:
-a LUT-mapped layer streams every product through a 256x256 table and runs
-roughly 40x slower than a perforated or accurate layer on the same shapes
-(``results/BENCH_engine.json`` ``engine_throughput``: ~460k products/s
-accurate, ~390k perforated, ~8.5k LUT on the numpy backend).  One LUT-heavy
-cell in an otherwise cheap chunk turns that chunk into the batch's
-straggler and serializes the pool.
+a LUT-mapped layer whose table has no bit-plane form goes through the
+one-hot error product and runs roughly 25-50x slower than a perforated or
+accurate layer on the same shapes (``results/BENCH_engine.json``
+``engine_throughput``, numpy backend, patches/s of a 3x3x64 -> 64 conv
+layer: ~510k accurate, ~365k perforated ``m = 2`` +V, ~21k LUT with a
+structureless table).  One such cell in an otherwise cheap chunk turns
+that chunk into the batch's straggler and serializes the pool.  A table
+with a bit-plane form (every library multiplier: truncated, perforated,
+compensated, partial-product bit-drop) runs as one dense product per
+bit group instead, about as fast as an accurate layer per group.
 
 :class:`CellCostModel` predicts the relative cost of one ``(model, plan)``
 cell so :func:`repro.runtime.scheduling.cost_balanced_chunks` can partition
@@ -24,7 +28,10 @@ the schedule by *predicted work* instead of cell count:
   differs from the calibration box converges to its own ratios;
 * the technique of a layer is read from the plan's per-layer
   :meth:`~repro.simulation.inference.ProductModel.fingerprint` — the same
-  token the prefix scheduler sorts by, so pricing needs no new plumbing.
+  token the prefix scheduler sorts by — except that a bit-plane LUT layer
+  is priced as ``groups`` units of kind ``"lut_bitplane"`` per MAC
+  (:func:`layer_technique`), so its price follows its group count while
+  its fingerprint stays the table digest.
 
 Predictions are *relative* (unit: accurate-MAC equivalents).  Balancing
 only needs ratios; :meth:`predict_seconds` additionally converts through
@@ -37,22 +44,25 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.simulation.inference import ExecutionPlan
+from repro.simulation.inference import ExecutionPlan, LUTProduct, ProductModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.simulation.campaign import TrainedModel
 
 #: Relative cost of one product per technique kind, normalized to the
 #: accurate array.  Calibrated from the ``engine_throughput`` bench (numpy
-#: backend): perforated runs at ~85 % of accurate throughput (1.2x cost)
-#: and the LUT path at ~1/55 (we price it at 48 = 40x the perforated cost,
-#: the ratio the bench pins).  Unknown kinds (custom product models) price
-#: as perforated — close enough until :meth:`CellCostModel.observe`
-#: refines them.
+#: backend): perforated runs at ~70-85 % of accurate throughput (1.2x
+#: cost) and the one-hot LUT path at ~1/25-1/55 (we price it at 48 = 40x
+#: the perforated cost).  ``lut_bitplane`` is the cost of one bit group of
+#: a bit-plane LUT layer: one-group layers measured 0.85-1.2x accurate,
+#: and each further group adds up to about one accurate product.
+#: Unknown kinds (custom product models) price as perforated — close
+#: enough until :meth:`CellCostModel.observe` refines them.
 DEFAULT_TECHNIQUE_COST: dict[str, float] = {
     "accurate": 1.0,
     "perforated": 1.2,
     "lut": 48.0,
+    "lut_bitplane": 1.2,
 }
 
 #: Fallback factor for fingerprint kinds absent from the table.
@@ -76,6 +86,19 @@ def fingerprint_kind(fingerprint: tuple) -> str:
     if fingerprint and isinstance(fingerprint[0], str):
         return fingerprint[0]
     return "unknown"
+
+
+def layer_technique(product_model: ProductModel) -> tuple[str, float]:
+    """``(kind, units per MAC)`` of one layer's product model.
+
+    A LUT product whose table has a bit-plane form costs one dense product
+    per bit group, so it prices as ``groups`` units of ``"lut_bitplane"``
+    (at least one: a constant table still launches the kernel).  Every other
+    model prices one unit of its :func:`fingerprint_kind`.
+    """
+    if isinstance(product_model, LUTProduct) and product_model.bit_planes is not None:
+        return "lut_bitplane", float(max(1, product_model.bit_planes.groups))
+    return fingerprint_kind(product_model.fingerprint()), 1.0
 
 
 def model_layer_work(trained: "TrainedModel", image_shape: tuple) -> dict[str, float]:
@@ -147,10 +170,9 @@ class CellCostModel:
         """Predicted cost of one cell, in accurate-MAC equivalents."""
         work = self._layer_work.get(int(model_index), {})
         total = 0.0
-        for name, fingerprint in zip(mac_names, plan.fingerprints(mac_names)):
-            total += work.get(name, 1.0) * self.technique_factor(
-                fingerprint_kind(fingerprint)
-            )
+        for name in mac_names:
+            kind, units = layer_technique(plan.model_for(name))
+            total += work.get(name, 1.0) * units * self.technique_factor(kind)
         return total
 
     def group_cost(
@@ -174,19 +196,20 @@ class CellCostModel:
         balance on.
         """
         work = self._layer_work.get(int(model_index), {})
-        sequences = {plan.fingerprints(mac_names) for plan in plans}
+        sequences: dict[tuple, ExecutionPlan] = {}
+        for plan in plans:
+            sequences.setdefault(plan.fingerprints(mac_names), plan)
         total = 0.0
         for depth, name in enumerate(mac_names):
             layer_work = work.get(name, 1.0)
             seen: set[tuple] = set()
-            for sequence in sequences:
+            for sequence, plan in sequences.items():
                 prefix = sequence[: depth + 1]
                 if prefix in seen:
                     continue
                 seen.add(prefix)
-                total += layer_work * self.technique_factor(
-                    fingerprint_kind(sequence[depth])
-                )
+                kind, units = layer_technique(plan.model_for(name))
+                total += layer_work * units * self.technique_factor(kind)
         return total
 
     def chunk_units_by_kind(
@@ -203,10 +226,9 @@ class CellCostModel:
         units: dict[str, float] = {}
         for model_index, plan in chunk:
             work = self._layer_work.get(int(model_index), {})
-            mac_names = mac_names_by_model[model_index]
-            for name, fingerprint in zip(mac_names, plan.fingerprints(mac_names)):
-                kind = fingerprint_kind(fingerprint)
-                units[kind] = units.get(kind, 0.0) + work.get(name, 1.0)
+            for name in mac_names_by_model[model_index]:
+                kind, per_mac = layer_technique(plan.model_for(name))
+                units[kind] = units.get(kind, 0.0) + work.get(name, 1.0) * per_mac
         return units
 
     def predicted_cost(self, units_by_kind: Mapping[str, float]) -> float:
@@ -317,6 +339,7 @@ __all__ = [
     "DEFAULT_UNKNOWN_COST",
     "DOMINANT_SHARE",
     "fingerprint_kind",
+    "layer_technique",
     "model_layer_work",
     "CellCostModel",
 ]

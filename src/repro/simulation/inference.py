@@ -103,11 +103,13 @@ from repro.core.approx_conv import (
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import (
     AccurateKernel,
+    BitPlanes,
     CallbackKernel,
     KernelOptions,
     LUTKernel,
     PerforatedKernel,
     ProductKernel,
+    bit_planes,
 )
 from repro.multipliers.base import Multiplier
 from repro.nn.graph import Graph, GraphNode
@@ -254,6 +256,7 @@ class LUTProduct(ProductModel):
         self._lut_digest = hashlib.sha1(
             np.ascontiguousarray(self._lut).tobytes()
         ).hexdigest()
+        self._bit_planes = bit_planes(self._lut)
 
     def product_sums(
         self,
@@ -270,6 +273,12 @@ class LUTProduct(ProductModel):
         """The precomputed 256x256 product table (shared by all backends)."""
         return self._lut
 
+    @property
+    def bit_planes(self) -> BitPlanes | None:
+        """The table's bit-plane form, decomposed once for every layer it
+        compiles against; None when the table has none (one-hot kernels)."""
+        return self._bit_planes
+
     def compile(
         self,
         weight_codes: np.ndarray,
@@ -282,6 +291,7 @@ class LUTProduct(ProductModel):
             weight_codes,
             self._lut,
             max_error_matrix_bytes=options.max_error_matrix_bytes,
+            planes=self._bit_planes,
         )
 
     def fingerprint(self) -> tuple:

@@ -241,11 +241,17 @@ class TestNumbaBackendWithStubJit:
         assert not available and "ABI mismatch" in reason
 
 
+def _structureless_lut(rng) -> np.ndarray:
+    """A table without a bit-plane form: it compiles to the one-hot kernel."""
+    exact = np.arange(256)[:, None] * np.arange(256)[None, :]
+    return exact + rng.integers(-50, 50, size=(256, 256))
+
+
 class TestLowMemoryBackend:
     def test_caps_lut_error_matrix_and_chunks(self, rng):
         acts = rng.integers(0, 256, size=(50, 16), dtype=np.uint8)
         weights = rng.integers(0, 256, size=(16, 6), dtype=np.uint8)
-        lut = np.arange(256)[:, None] * np.arange(256)[None, :] + 1
+        lut = _structureless_lut(rng)
         backend = LowMemoryBackend(max_error_matrix_bytes=0, chunk_patches=7)
         from repro.multipliers.lut import LUTMultiplier
 
@@ -277,12 +283,25 @@ class TestLowMemoryBackend:
         weights = rng.integers(0, 256, size=(8, 3), dtype=np.uint8)
         from repro.multipliers.lut import LUTMultiplier
 
-        lut = np.arange(256)[:, None] * np.arange(256)[None, :] + 2
-        model = LUTProduct(LUTMultiplier(lut, name="t"))
+        model = LUTProduct(LUTMultiplier(_structureless_lut(rng), name="t"))
+        assert model.bit_planes is None
         capped = model.compile(weights, None, options=KernelOptions(max_error_matrix_bytes=0))
         uncapped = model.compile(weights, None)
         assert capped._error_matrix is None
         assert uncapped._error_matrix is not None
+
+    def test_bit_linear_lut_builds_no_error_matrix_under_either_cap(self, rng):
+        weights = rng.integers(0, 256, size=(8, 3), dtype=np.uint8)
+        acts = rng.integers(0, 256, size=(11, 8), dtype=np.uint8)
+        from repro.multipliers.lut import LUTMultiplier
+
+        lut = np.arange(256)[:, None] * np.arange(256)[None, :] + 2
+        model = LUTProduct(LUTMultiplier(lut, name="t"))
+        assert model.bit_planes is not None
+        for options in (KernelOptions(max_error_matrix_bytes=0), KernelOptions()):
+            kernel = model.compile(weights, None, options=options)
+            assert kernel.is_bit_plane and kernel._error_matrix is None
+            np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
 
 
 class TestExactnessBoundaries:

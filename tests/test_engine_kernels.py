@@ -210,28 +210,34 @@ class TestKernelParity:
 LARGEST_LAYER_TAPS = 512 * 3 * 3
 
 
+# ``planes=None`` pins the one-hot form: the all-zero table has a bit-plane
+# form (no groups), and these paths are about the one-hot error sums.
 def _lut_sums_sparse(weights, lut, acts, monkeypatch):
-    return LUTKernel(weights, lut)(acts)
+    kernel = LUTKernel(weights, lut, planes=None)
+    assert kernel._error_matrix is not None
+    return kernel(acts)
 
 
 def _lut_sums_gather(weights, lut, acts, monkeypatch):
     import repro.core.product_kernels as pk
 
-    kernel = LUTKernel(weights, lut)
+    kernel = LUTKernel(weights, lut, planes=None)
     monkeypatch.setattr(pk, "_sparse", None)
     return kernel(acts)
 
 
 def _lut_sums_lowmem(weights, lut, acts, monkeypatch):
-    kernel = LUTKernel(weights, lut, max_error_matrix_bytes=0)
-    assert kernel._error_matrix is None
+    kernel = LUTKernel(weights, lut, max_error_matrix_bytes=0, planes=None)
+    assert kernel._error_matrix is None and kernel._err_table is not None
     return kernel(acts)
 
 
 def _lut_sums_fused(weights, lut, acts, monkeypatch):
     # Two distinct kernels over one table: two slots of the stacked error
     # matrix, each block's one-hot columns offset into its own slot.
-    fused = MultiPlanKernel([LUTKernel(weights, lut), LUTKernel(weights, lut)])
+    fused = MultiPlanKernel(
+        [LUTKernel(weights, lut, planes=None), LUTKernel(weights, lut, planes=None)]
+    )
     assert fused._stacked_error is not None
     stacked = fused.product_sums_multi(np.concatenate([acts[::-1], acts]))
     n = acts.shape[0]

@@ -6,7 +6,8 @@ number, at any layer of the stack.  This suite pins that end to end:
 
 * :class:`~repro.core.product_kernels.MultiPlanKernel` — stacked and
   shared launches equal the per-plan kernels on randomized mixed stacks
-  (accurate / perforated ± control variate / LUT / fallback);
+  (accurate / perforated ± control variate / one-hot and bit-plane LUT /
+  fallback);
 * ``QuantizedLinearOp.output_real_stacked`` — equals the tiled per-plan
   :meth:`output_real` bit for bit;
 * ``EngineBackend.compile_multi`` — the capability-flag contract, the
@@ -40,6 +41,7 @@ from repro.core.product_kernels import (
     MultiPlanKernel,
     PerforatedKernel,
 )
+from repro.multipliers.lut import LUTMultiplier
 from repro.quantization.qlayers import QuantizedLinearOp
 from repro.quantization.schemes import QuantParams
 from repro.runtime.scheduling import (
@@ -142,6 +144,42 @@ class TestMultiPlanKernel:
         out = multi.product_sums_multi(act, shared=True)
         for p in range(3):
             np.testing.assert_array_equal(out[p * 7 : (p + 1) * 7], expected)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bit_plane_luts_in_mixed_stack_match_per_plan_loop(self, rng, shared):
+        """Bit-plane LUT blocks run through their own kernel; one-hot LUT
+        blocks still ride the stacked error matrix; every block equals its
+        per-plan kernel byte for byte."""
+        from repro.multipliers.library import MultiplierLibrary
+
+        library = MultiplierLibrary.synthetic_evoapprox()
+        taps, filters, n = 40, 6, 9
+        weights = rng.integers(0, 256, size=(taps, filters), dtype=np.uint8)
+        cv = ControlVariate.from_weight_matrix(weights)
+        models = [
+            LUTProduct(library["truncated_w2a3"].multiplier),
+            LUTProduct(library["evolved_0"].multiplier),
+            LUTProduct(library["compensated[truncated_w1a1]"].multiplier),
+            LUTProduct(LUTMultiplier(_random_lut(rng), name="structureless")),
+            PerforatedProduct(2, use_control_variate=True),
+            PerforatedProduct(2, use_control_variate=False),
+            AccurateProduct(),
+        ]
+        kernels = [model.compile(weights, cv) for model in models]
+        multi = MultiPlanKernel(kernels)
+        assert multi._kinds == [
+            "bitplane", "bitplane", "bitplane", "lut", "perf", "perf", "exact"
+        ]
+        assert multi._stacked_error is not None
+        rows = n if shared else len(kernels) * n
+        act = rng.integers(0, 256, size=(rows, taps), dtype=np.uint8)
+        blocks = [act if shared else act[p * n : (p + 1) * n] for p in range(len(kernels))]
+        expected = np.concatenate(
+            [np.asarray(k(b), dtype=np.float64) for k, b in zip(kernels, blocks)]
+        )
+        result = multi.product_sums_multi(act, shared=shared)
+        assert result.dtype == np.float64
+        assert result.tobytes() == expected.tobytes()
 
     def test_validation(self, rng):
         weights = rng.integers(0, 256, size=(4, 2), dtype=np.uint8)

@@ -11,9 +11,9 @@ load balance rest on:
 * :func:`~repro.runtime.scheduling.cost_balanced_chunks` partitions by
   predicted cost, isolates stragglers, never reorders or drops a cell,
   and biases cuts toward prefix-divergence boundaries;
-* :class:`~repro.runtime.cost_model.CellCostModel` prices LUT-mapped
-  layers far above perforated ones and refines its factors online from
-  measured chunk wall-clocks;
+* :class:`~repro.runtime.cost_model.CellCostModel` prices one-hot LUT
+  layers far above perforated ones, bit-plane LUT layers by their group
+  count, and refines its factors online from measured chunk wall-clocks;
 * :mod:`~repro.runtime.sizing` resolves requested worker counts against
   the schedulable CPUs (degrade-to-serial clamp).
 
@@ -45,6 +45,7 @@ from repro.runtime.sizing import (
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
+    LUTProduct,
     PerforatedProduct,
     ProductModel,
 )
@@ -185,6 +186,39 @@ class TestCellCostModel:
         )
         assert lut / accurate == pytest.approx(DEFAULT_TECHNIQUE_COST["lut"])
         assert lut > 30 * perf  # the bench-calibrated ~40x gap
+
+    def test_bit_plane_lut_priced_by_group_count(self):
+        """A truncated table compiles to one dense product and prices near a
+        perforated layer; a structureless table keeps the one-hot price."""
+        import numpy as np
+
+        from repro.multipliers.library import MultiplierLibrary
+        from repro.multipliers.lut import LUTMultiplier
+
+        model = self._model()
+        library = MultiplierLibrary.synthetic_evoapprox()
+        truncated = LUTProduct(library["truncated_w2a3"].multiplier)
+        evolved = LUTProduct(library["evolved_0"].multiplier)
+        table = np.arange(256)[:, None] * np.arange(256)[None, :]
+        table[3, 5] += 1
+        structureless = LUTProduct(LUTMultiplier(table, name="structureless"))
+        assert structureless.bit_planes is None
+        perf = model.cell_cost(0, _plan(*[PerforatedProduct(2)] * 3), NAMES)
+        trunc = model.cell_cost(0, _plan(*[truncated] * 3), NAMES)
+        assert perf / 2 <= trunc <= 2 * perf
+        assert model.cell_cost(0, _plan(*[evolved] * 3), NAMES) == pytest.approx(
+            evolved.bit_planes.groups * trunc
+        )
+        assert model.cell_cost(0, _plan(*[structureless] * 3), NAMES) == pytest.approx(
+            model.cell_cost(0, _plan(FakeLUT(), FakeLUT(), FakeLUT()), NAMES)
+        )
+        units = model.chunk_units_by_kind([(0, _plan(evolved, truncated, None))], {0: NAMES})
+        assert units == {
+            "lut_bitplane": 100.0 * (evolved.bit_planes.groups + 1),
+            "accurate": 100.0,
+        }
+        # The fingerprint, which keys prefix reuse and caches, is the digest.
+        assert truncated.fingerprint() == ("lut", truncated._lut_digest)
 
     def test_fingerprint_kind_tokens(self):
         assert fingerprint_kind(("accurate",)) == "accurate"
